@@ -85,5 +85,13 @@ class FactorizationFailed(Error):
     """
 
 
+class LatticeBoundsMissing(Error):
+    """A subquasimodule lattice's nodes do not run from {zero} to the full carrier.
+
+    Every enumerator in this package produces both bounds; reaching this
+    from one of them means a library bug, not bad input.
+    """
+
+
 class UnknownInstance(Error):
     """No bundled reference instance is registered under the requested name."""

@@ -128,6 +128,7 @@ def closed_sets(qm):
     whole carrier), so the intersection closure of those is complete. No
     0-distributivity is needed for the set-level characterization.
     """
+    # not Close-by-One: same sets, 8-15x slower (bool3.cube 0.38 s -> 5.7 s)
     base = {qm.full_mask}
     for p in range(qm.size):
         base.add(principal_perp(qm, p))

@@ -4,6 +4,7 @@ import pytest
 
 from quasimodules import (
     SubQM,
+    SubQMLattice,
     all_subquasimodules,
     canonical,
     find_bases,
@@ -14,7 +15,9 @@ from quasimodules import (
     principal_ideal,
     standard_basis,
 )
-from quasimodules.errors import EnumerationBudgetExceeded
+from quasimodules.bitset import bit_key
+from quasimodules.errors import EnumerationBudgetExceeded, LatticeBoundsMissing
+from quasimodules.subquasi import close_mask
 
 import golden
 from conftest import qm_from
@@ -190,6 +193,48 @@ def test_find_bases_of_proper_subquasimodule(ex1_qm):
 def test_all_subquasimodules_budget(ex1_qm):
     with pytest.raises(EnumerationBudgetExceeded):
         all_subquasimodules(ex1_qm, max_nodes=5)
+    # the budget raises exactly when the lattice (21 nodes) outgrows it
+    assert len(all_subquasimodules(ex1_qm, max_nodes=21)) == 21
+    with pytest.raises(EnumerationBudgetExceeded):
+        all_subquasimodules(ex1_qm, max_nodes=20)
+
+
+@pytest.mark.parametrize("lattice_name, factor_gens", [
+    ("n5", ["*", "a"]),        # ex1
+    ("chain_4", ["*", "*"]),   # chain_4 squared, 16 vectors
+    ("m3", ["*", "a"]),
+    ("n5", ["*", "c"]),        # meet does not distribute over join in N5
+])
+def test_all_subquasimodules_vs_brute_force(lattice_name, factor_gens):
+    qm = qm_from(lattice_name, factor_gens)
+    assert qm.size <= 16
+    nodes = all_subquasimodules(qm).nodes
+    assert len(set(nodes)) == len(nodes)
+    assert list(nodes) == sorted(nodes, key=bit_key)
+    brute = {m for m in range(1 << qm.size) if is_subquasimodule(qm, m)[0]}
+    assert set(nodes) == brute
+
+
+def test_all_subquasimodules_chain3_cubed():
+    qm = qm_from("chain_3", ["*", "*", "*"])
+    nodes = all_subquasimodules(qm).nodes
+    assert len(nodes) == 29_881
+    for mask in nodes[::97]:
+        assert close_mask(qm, mask) == mask
+
+
+def test_close_mask_base_matches_full_closure(ex1_qm):
+    qm = ex1_qm
+    for base in all_subquasimodules(qm).nodes:
+        for p in range(qm.size):
+            assert close_mask(qm, 1 << p, base=base) == close_mask(qm, base | 1 << p)
+
+
+def test_subqm_lattice_missing_top_raises(ex1_qm):
+    nodes = [m for m in all_subquasimodules(ex1_qm).nodes if m != ex1_qm.full_mask]
+    for node_masks in (nodes, []):
+        with pytest.raises(LatticeBoundsMissing):
+            SubQMLattice(ex1_qm, node_masks, join_closure=lambda m: close_mask(ex1_qm, m))
 
 
 def test_published_numbering_fixture(ex1_qm):
