@@ -85,6 +85,30 @@ class FactorizationFailed(Error):
     """
 
 
+class CompanionNotClosed(Error):
+    """The companion of a closed set is not itself closed.
+
+    Companions are always closed (A* = A***); reaching this means a library
+    bug, not bad input.
+    """
+
+
+class CompanionOverlap(Error):
+    """A subquasimodule meets its companion in more or less than {zero}.
+
+    Only the zero vector is orthogonal to itself and every subquasimodule
+    holds it; reaching this means a library bug, not bad input.
+    """
+
+
+class SplittingNotClosed(Error):
+    """A splitting subquasimodule is not closed.
+
+    Every splitting subquasimodule is closed; reaching this means a library
+    bug, not bad input.
+    """
+
+
 class LatticeBoundsMissing(Error):
     """A subquasimodule lattice's nodes do not run from {zero} to the full carrier.
 

@@ -14,26 +14,36 @@ from itertools import product as iproduct
 
 from .bitset import iter_bits
 from .errors import (
+    CompanionNotClosed,
+    CompanionOverlap,
     EnumerationBudgetExceeded,
     FactorizationFailed,
     NotClosed,
     NotZeroDistributive,
+    SplittingNotClosed,
 )
 from .subquasi import SubQM, SubQMLattice, all_subquasimodules, is_subquasimodule
 
 
 def principal_perp(qm, p):
-    """Companion bitmask of a single vector, cached on the quasimodule."""
+    """Companion bitmask of a single vector, cached on the quasimodule.
+
+    A vector is orthogonal to p iff each coordinate meets p's coordinate in
+    bottom, so the companion is the AND over coordinates i of the OR of the
+    slabs coord_mask(i, e) with e ^ p_i = bottom.
+    """
     cached = qm._pperp.get(p)
     if cached is not None:
         return cached
     meet = qm.lattice.meet
     b = qm.lattice.bottom
-    u = qm.carrier[p]
-    out = 0
-    for q, v in enumerate(qm.carrier):
-        if all(meet[x][y] == b for x, y in zip(u, v)):
-            out |= 1 << q
+    out = qm.full_mask
+    for i, x in enumerate(qm.carrier[p]):
+        layer = 0
+        for e in iter_bits(qm.factors[i].members):
+            if meet[x][e] == b:
+                layer |= qm.coord_mask(i, e)
+        out &= layer
     qm._pperp[p] = out
     return out
 
@@ -188,7 +198,9 @@ def closed_subquasimodules(qm):
     perp_map = []
     for mask in base.nodes:
         pm = perp(qm, mask)
-        assert pm in base.index, "companion of a closed set must be closed"
+        if pm not in base.index:
+            raise CompanionNotClosed(
+                f"companion of closed set {qm.label_sets(mask)} is not closed")
         perp_map.append(base.index[pm])
     return ClosedLattice(base, tuple(perp_map))
 
@@ -202,17 +214,18 @@ def closed_join(qm, sub_a, sub_b):
 
 
 def sum_set(qm, vectors_a, vectors_b):
-    """Bitmask of all pairwise sums x + y with x from A and y from B."""
+    """Bitmask of all pairwise sums x + y with x from A and y from B.
+
+    The OR, over the members p of the smaller set, of the image of the other
+    set under q -> p + q (CanonicalQM.image); addition commutes.
+    """
     mask_a = qm.mask(vectors_a)
     mask_b = qm.mask(vectors_b)
-    add = qm.add
-    if qm._add is not None:
-        add_t = qm._add
-        add = lambda p, q: add_t[p][q]
+    if mask_a.bit_count() > mask_b.bit_count():
+        mask_a, mask_b = mask_b, mask_a
     out = 0
     for p in iter_bits(mask_a):
-        for q in iter_bits(mask_b):
-            out |= 1 << add(p, q)
+        out |= qm.image(mask_b, "add", p)
     return out
 
 
@@ -220,10 +233,13 @@ def is_splitting(qm, sub):
     """True iff sub plus its companion covers the whole carrier.
 
     The intersection of sub with its companion is always exactly {zero};
-    this is asserted, not tested for.
+    anything else raises CompanionOverlap.
     """
     companion = perp(qm, sub.members)
-    assert sub.members & companion == 1 << qm.zero
+    if sub.members & companion != 1 << qm.zero:
+        raise CompanionOverlap(
+            f"{sub} meets its companion in {qm.label_sets(sub.members & companion)}, "
+            f"not in the zero vector alone")
     return sum_set(qm, sub.members, companion) == qm.full_mask
 
 
@@ -234,7 +250,8 @@ def splitting_subquasimodules(qm, max_nodes=200_000):
     for mask in subs.nodes:
         sub = SubQM(qm, mask)
         if is_splitting(qm, sub):
-            assert is_closed(qm, mask), "a splitting subquasimodule must be closed"
+            if not is_closed(qm, mask):
+                raise SplittingNotClosed(f"splitting subquasimodule {sub} is not closed")
             out.append(sub)
     return out
 
@@ -342,11 +359,42 @@ def closed_lattice_iso(qm):
 
     bijective = (len(images) == len(assignments) == len(closed)
                  and images == set(closed.nodes))
-    order_embedding = True
-    for (ca, ma), (cb, mb) in iproduct(assignments, assignments):
-        comp = all(x & ~y == 0 for x, y in zip(ca, cb))
-        if comp != (ma & ~mb == 0):
-            order_embedding = False
-            break
     return ClosedIso(qm, tuple(factor_closed), tuple(assignments),
-                     bijective, order_embedding)
+                     bijective, is_order_embedding(assignments))
+
+
+def is_order_embedding(assignments):
+    """True iff, for every pair of (choice, image) assignments, the choices
+    are included coordinatewise exactly when the images are included.
+
+    Row a is compared as two bitsets over assignment indices: the AND over
+    coordinates i of "assignments whose i-th set contains a's i-th set", and
+    the AND over a's image positions of "assignments whose image holds the
+    position". Stops at the first row that differs.
+    """
+    if not assignments:
+        return True
+    k = len(assignments[0][0])
+    with_value = [{} for _ in range(k)]   # i -> {set: assignments choosing it}
+    holding = {}                          # position -> assignments whose image holds it
+    for b, (choice, image) in enumerate(assignments):
+        bit = 1 << b
+        for i, y in enumerate(choice):
+            with_value[i][y] = with_value[i].get(y, 0) | bit
+        for q in iter_bits(image):
+            holding[q] = holding.get(q, 0) | bit
+    # the assignments choosing different sets are disjoint, so sum is their OR
+    above = [{x: sum(bits for y, bits in by.items() if x & ~y == 0) for x in by}
+             for by in with_value]
+    everything = (1 << len(assignments)) - 1
+    for choice, image in assignments:
+        by_choice = everything
+        for i, x in enumerate(choice):
+            by_choice &= above[i][x]
+        by_image = everything
+        for q in iter_bits(image):
+            by_image &= holding[q]
+        if by_choice != by_image:
+            return False
+    return True
+

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 from .bitset import iter_bits, mask_of
@@ -37,7 +37,8 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_add", "_smul", "_pperp", "_factor_qms", "_coord_masks")
+                 "_add", "_smul", "_pperp", "_factor_qms", "_coord_masks",
+                 "_moves")
 
     def __init__(self, lattice, factors, carrier, index):
         self.lattice = lattice
@@ -49,17 +50,10 @@ class CanonicalQM:
         self._pperp = {}
         self._factor_qms = {}
         self._coord_masks = None
+        # kind -> factor -> element -> [(slab, shift)], filled by image()
+        self._moves = {"add": [{} for _ in factors], "smul": [{} for _ in factors]}
         if self.size <= _TABLE_LIMIT:
-            join = lattice.join
-            meet = lattice.meet
-            self._add = [
-                [index[tuple(join[a][b] for a, b in zip(u, v))] for v in carrier]
-                for u in carrier
-            ]
-            self._smul = [
-                [index[tuple(meet[c][a] for a in u)] for u in carrier]
-                for c in range(lattice.n)
-            ]
+            self._add, self._smul = _product_tables(lattice, factors)
         else:
             self._add = None
             self._smul = None
@@ -121,18 +115,12 @@ class CanonicalQM:
         return out
 
     def orthogonal(self, p, q):
-        """True iff every componentwise meet is bottom.
-
-        Computed both componentwise and through the inner product; the two
-        routes must agree.
-        """
+        """True iff every componentwise meet is bottom."""
         self._check(p)
         self._check(q)
         meet = self.lattice.meet
         b = self.lattice.bottom
-        comp = all(meet[x][y] == b for x, y in zip(self.carrier[p], self.carrier[q]))
-        assert comp == (self.inner(p, q) == b)
-        return comp
+        return all(meet[x][y] == b for x, y in zip(self.carrier[p], self.carrier[q]))
 
     # -- carrier subsets -----------------------------------------------------
 
@@ -188,6 +176,60 @@ class CanonicalQM:
             self._coord_masks = masks
         return self._coord_masks[i].get(element, 0)
 
+    def image(self, mask, kind, a):
+        """Bitmask of {a + q : q in mask} (kind "add", a a carrier position)
+        or of {a * q : q in mask} (kind "smul", a a scalar index).
+
+        Positions are row-major over the factor member lists, so changing
+        coordinate i from e to e' moves the whole slab coord_mask(i, e) by one
+        bit offset. The map acts on one coordinate at a time, each step a few
+        masked shifts of the whole bitmask; ideals are closed under join and
+        under meet with any scalar, so no shift leaves the carrier.
+        """
+        if kind == "add":
+            self._check(a)
+            xs = self.carrier[a]
+        elif kind == "smul":
+            if not 0 <= a < self.lattice.n:
+                raise IndexOutOfRange(f"scalar index out of range: {a}")
+            xs = (a,) * len(self.factors)
+        else:
+            raise ValueError(f"unknown image kind: {kind!r}")
+        for i, x in enumerate(xs):
+            cache = self._moves[kind][i]
+            moves = cache.get(x)
+            if moves is None:
+                moves = cache[x] = self._slab_moves(kind, i, x)
+            if not moves:
+                continue
+            out = 0
+            for slab, shift in moves:
+                if shift > 0:
+                    out |= (mask & slab) << shift
+                elif shift < 0:
+                    out |= (mask & slab) >> -shift
+                else:
+                    out |= mask & slab
+            mask = out
+        return mask
+
+    def _slab_moves(self, kind, i, x):
+        """[(slab, shift)] for e -> join(x, e) or meet(x, e) on coordinate i.
+
+        Slabs with equal shifts are merged; an identity map gives [].
+        """
+        op = self.lattice.join if kind == "add" else self.lattice.meet
+        members = list(iter_bits(self.factors[i].members))
+        loc = {e: k for k, e in enumerate(members)}
+        stride = prod(f.members.bit_count() for f in self.factors[i + 1:])
+        by_shift = {}
+        for e in members:
+            shift = (loc[op[x][e]] - loc[e]) * stride
+            by_shift[shift] = by_shift.get(shift, 0) | self.coord_mask(i, e)
+        if by_shift.keys() == {0}:
+            return []
+        return [(slab, shift) for shift, slab in by_shift.items()]
+
     def factor_qm(self, i):
         """The one-factor canonical quasimodule on factor i (same scalars)."""
         if not 0 <= i < len(self.factors):
@@ -226,6 +268,33 @@ def canonical(lattice, factors, max_carrier=10 ** 6):
     carrier = tuple(product(*member_lists))
     index = {u: p for p, u in enumerate(carrier)}
     return CanonicalQM(lattice, factors, carrier, index)
+
+
+def _product_tables(lattice, factors):
+    """Addition and scalar tables of the row-major product carrier.
+
+    Built factor by factor: with A the product of the factors so far and F
+    the next one, position (a, x) is a * |F| + x, so the sum row of (a, x)
+    is the concatenation, over the entries v of A's row a, of the shared
+    list [v * |F| + loc(x v y) for y in F].
+    """
+    join, meet = lattice.join, lattice.meet
+    add = [[0]]
+    smul = [[0] for _ in range(lattice.n)]
+    m = 1
+    for f in factors:
+        members = list(iter_bits(f.members))
+        loc = {e: k for k, e in enumerate(members)}
+        size = len(members)
+        f_add = [[loc[join[x][y]] for y in members] for x in members]
+        shifted = [[[v * size + s for s in f_add[x]] for v in range(m)]
+                   for x in range(size)]
+        add = [list(chain.from_iterable(map(shifted[x].__getitem__, row)))
+               for row in add for x in range(size)]
+        smul = [[v * size + loc[meet[c][e]] for v in row for e in members]
+                for c, row in enumerate(smul)]
+        m *= size
+    return add, smul
 
 
 def standard_basis(qm, check=True):

@@ -86,28 +86,28 @@ def is_subquasimodule(qm, vectors):
     """(holds, witness) where the witness is the first violation found.
 
     Violations are checked in order: zero membership, then addition over
-    member pairs in position order, then every scalar action. Witness forms:
-    ("zero",), ("add", p, q, p+q), ("smul", c, p, c*p).
+    member pairs (p, q >= p) in position order, then every scalar action.
+    Witness forms: ("zero",), ("add", p, q, p+q), ("smul", c, p, c*p).
+    Each row is tested as one subset image (CanonicalQM.image); only a row
+    that leaves the set is scanned pair by pair for its first witness.
     """
     mask = qm.mask(vectors)
     if not mask >> qm.zero & 1:
         return False, ("zero",)
-    members = list(iter_bits(mask))
-    add, smul = qm.add, qm.smul
-    if qm._add is not None:
-        add_t, smul_t = qm._add, qm._smul
-        add = lambda p, q: add_t[p][q]
-        smul = lambda c, p: smul_t[c][p]
-    for i, p in enumerate(members):
-        for q in members[i:]:
-            s = add(p, q)
-            if not mask >> s & 1:
-                return False, ("add", p, q, s)
+    outside = ~mask
+    for p in iter_bits(mask):
+        row = mask >> p << p
+        if qm.image(row, "add", p) & outside:
+            for q in iter_bits(row):
+                s = qm.add(p, q)
+                if outside >> s & 1:
+                    return False, ("add", p, q, s)
     for c in range(qm.lattice.n):
-        for p in members:
-            s = smul(c, p)
-            if not mask >> s & 1:
-                return False, ("smul", c, p, s)
+        if qm.image(mask, "smul", c) & outside:
+            for p in iter_bits(mask):
+                s = qm.smul(c, p)
+                if outside >> s & 1:
+                    return False, ("smul", c, p, s)
     return True, None
 
 

@@ -262,19 +262,21 @@ class _Ctx:
         out.update(fields)
         return out
 
-    def violation_labels(self, witness):
-        if witness is None:
-            return None
-        kind = witness[0]
-        if kind == "zero":
-            return ["zero-missing"]
-        if kind == "add":
-            _, p, q, s = witness
-            return ["add", list(self.qm.vector_labels(p)),
-                    list(self.qm.vector_labels(q)), list(self.qm.vector_labels(s))]
-        _, c, p, s = witness
-        return ["smul", self.qm.lattice.names[c],
-                list(self.qm.vector_labels(p)), list(self.qm.vector_labels(s))]
+
+def violation_labels(qm, witness):
+    """Report form of an is_subquasimodule witness: labels instead of positions."""
+    if witness is None:
+        return None
+    kind = witness[0]
+    if kind == "zero":
+        return ["zero-missing"]
+    if kind == "add":
+        _, p, q, s = witness
+        return ["add", list(qm.vector_labels(p)),
+                list(qm.vector_labels(q)), list(qm.vector_labels(s))]
+    _, c, p, s = witness
+    return ["smul", qm.lattice.names[c],
+            list(qm.vector_labels(p)), list(qm.vector_labels(s))]
 
 
 def _factor_descriptor(lattice, ideal):
@@ -414,13 +416,13 @@ def _c_prop2(ctx):
                 return HYP, ctx.doc(
                     subset=ctx.labels(a),
                     companion=ctx.labels(ctx.perp_of(a)),
-                    violation=ctx.violation_labels(witness)), hyp_note
+                    violation=violation_labels(ctx.qm, witness)), hyp_note
         return HYP, None, hyp_note + "; no companion-closure violation in the pool"
     for a in pool:
         ok, witness = ctx.subqm_of(ctx.perp_of(a))
         if not ok:
             return FAIL, ctx.doc(subset=ctx.labels(a),
-                                 violation=ctx.violation_labels(witness)), note
+                                 violation=violation_labels(ctx.qm, witness)), note
     return PASS, None, note
 
 

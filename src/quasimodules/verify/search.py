@@ -45,7 +45,8 @@ from ..lattice import (
 )
 from ..quasimodule import canonical
 from ..subquasi import SubQM, is_subquasimodule
-from .laws import FAIL, Budgets, TheoremReport, check_all, _parse_factor
+from .laws import (FAIL, Budgets, TheoremReport, _parse_factor, check_all,
+                   violation_labels)
 
 DROPPABLE = ("0-distributive", "closed-is-splitting")
 
@@ -152,7 +153,7 @@ def _companion_closure_violation(lat, cfg):
                     "factors": list(desc),
                     "companion_of": [list(qm.vector_labels(p))],
                     "companion": [list(v) for v in qm.label_sets(mask)],
-                    "violation": _witness_labels(qm, witness),
+                    "violation": violation_labels(qm, witness),
                     "zero_distributivity_witness": [lat.names[e] for e in w0],
                 }
     return None
@@ -176,19 +177,6 @@ def _closed_not_splitting_violation(lat, cfg):
                     "missing": [list(v) for v in qm.label_sets(missing)],
                 }
     return None
-
-
-def _witness_labels(qm, witness):
-    kind = witness[0]
-    if kind == "zero":
-        return ["zero-missing"]
-    if kind == "add":
-        _, p, q, s = witness
-        return ["add", list(qm.vector_labels(p)), list(qm.vector_labels(q)),
-                list(qm.vector_labels(s))]
-    _, c, p, s = witness
-    return ["smul", qm.lattice.names[c], list(qm.vector_labels(p)),
-            list(qm.vector_labels(s))]
 
 
 def _minimize(lat, violation):

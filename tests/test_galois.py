@@ -1,5 +1,11 @@
-import pytest
+import os
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import quasimodules
 from quasimodules import (
     SubQM,
     TaggedSet,
@@ -18,12 +24,24 @@ from quasimodules import (
     splitting_subquasimodules,
     sum_set,
 )
-from quasimodules.bitset import mask_of
-from quasimodules.errors import NotClosed, NotZeroDistributive
-from quasimodules.galois import closed_sets, product_mask
+from quasimodules import galois
+from quasimodules.bitset import iter_bits, mask_of
+from quasimodules.errors import (
+    CompanionNotClosed,
+    CompanionOverlap,
+    NotClosed,
+    NotZeroDistributive,
+    SplittingNotClosed,
+)
+from quasimodules.galois import (
+    closed_sets,
+    is_order_embedding,
+    principal_perp,
+    product_mask,
+)
 
 import golden
-from conftest import qm_from
+from conftest import KERNEL_INSTANCES, qm_from, sparse_mask
 
 
 def vecmask(qm, label_tuples):
@@ -233,3 +251,100 @@ def test_closed_sets_equal_fixed_point_filter(ex1_qm, m3_qm):
         brute = {m for m in range(1 << qm.size)
                  if perp(qm, perp(qm, m)) == m}
         assert closed_sets(qm) == brute
+
+
+# -- slab-shift paths against per-element definitions ------------------------------
+
+@st.composite
+def qm_and_two_masks(draw):
+    qm = draw(st.sampled_from(KERNEL_INSTANCES))
+    return qm, sparse_mask(draw, qm), sparse_mask(draw, qm)
+
+
+@given(qm_and_two_masks())
+@settings(max_examples=40, deadline=None)
+def test_sum_set_matches_pairwise(case):
+    qm, a, b = case
+    want = 0
+    for p in iter_bits(a):
+        for q in iter_bits(b):
+            want |= 1 << qm.add(p, q)
+    assert sum_set(qm, a, b) == want
+
+
+@pytest.mark.parametrize("qm", KERNEL_INSTANCES, ids=("ex1", "m3-x-a", "n5-pow4"))
+def test_principal_perp_matches_componentwise(qm):
+    meet, b = qm.lattice.meet, qm.lattice.bottom
+    for p, u in enumerate(qm.carrier):
+        want = 0
+        for q, v in enumerate(qm.carrier):
+            if all(meet[x][y] == b for x, y in zip(u, v)):
+                want |= 1 << q
+        assert principal_perp(qm, p) == want
+
+
+def test_order_embedding_catches_broken_assignments(ex1_qm):
+    assignments = list(closed_lattice_iso(ex1_qm).assignments)
+    assert is_order_embedding(assignments)
+    # swap the images of the bottom and top assignments
+    (c0, m0), (c1, m1) = assignments[0], assignments[-1]
+    assignments[0], assignments[-1] = (c0, m1), (c1, m0)
+    assert not is_order_embedding(assignments)
+    assert is_order_embedding([])
+
+
+# -- library-bug errors ----------------------------------------------------------
+
+def test_companion_not_closed_raises(ex1_qm, monkeypatch):
+    monkeypatch.setattr(galois, "perp", lambda qm, vectors: 0)
+    with pytest.raises(CompanionNotClosed):
+        closed_subquasimodules(ex1_qm)
+
+
+def test_companion_overlap_raises(ex1_qm, monkeypatch):
+    monkeypatch.setattr(galois, "perp", lambda qm, vectors: qm.full_mask)
+    with pytest.raises(CompanionOverlap):
+        is_splitting(ex1_qm, SubQM(ex1_qm, ex1_qm.full_mask))
+
+
+def test_splitting_not_closed_raises(ex1_qm, monkeypatch):
+    monkeypatch.setattr(galois, "is_closed", lambda qm, vectors: False)
+    with pytest.raises(SplittingNotClosed):
+        splitting_subquasimodules(ex1_qm)
+
+
+OPTIMIZED_SCRIPT = """
+import sys
+from quasimodules import SubQM, galois
+from quasimodules.errors import CompanionNotClosed, CompanionOverlap, SplittingNotClosed
+from quasimodules.lattice import builtin, principal_ideal
+from quasimodules.quasimodule import canonical
+
+assert sys.flags.optimize
+n5 = builtin("n5")
+qm = canonical(n5, [principal_ideal(n5, n5.top), principal_ideal(n5, n5.index("a"))])
+perp, is_closed = galois.perp, galois.is_closed
+for error, patch, call in (
+        (CompanionNotClosed, ("perp", lambda qm, v: 0),
+         lambda: galois.closed_subquasimodules(qm)),
+        (CompanionOverlap, ("perp", lambda qm, v: qm.full_mask),
+         lambda: galois.is_splitting(qm, SubQM(qm, qm.full_mask))),
+        (SplittingNotClosed, ("is_closed", lambda qm, v: False),
+         lambda: galois.splitting_subquasimodules(qm))):
+    setattr(galois, *patch)
+    try:
+        call()
+    except error:
+        print(error.__name__)
+    galois.perp, galois.is_closed = perp, is_closed
+"""
+
+
+def test_library_bug_errors_survive_python_O():
+    src = os.path.dirname(os.path.dirname(quasimodules.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["CompanionNotClosed", "CompanionOverlap",
+                                   "SplittingNotClosed"]

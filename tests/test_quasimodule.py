@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasimodules import (
     RawQM,
@@ -9,6 +12,7 @@ from quasimodules import (
     standard_basis,
     verify_axioms,
 )
+from quasimodules.bitset import iter_bits
 from quasimodules.errors import (
     CarrierTooLarge,
     FactorNotIdeal,
@@ -17,7 +21,7 @@ from quasimodules.errors import (
     ParseError,
 )
 
-from conftest import qm_from
+from conftest import KERNEL_INSTANCES, qm_from, sparse_mask
 
 
 def test_carrier_enumeration(ex1_qm):
@@ -160,3 +164,61 @@ def test_untabulated_operations_on_large_carrier():
     assert qm.coords(qm.smul(4, p)) == (3, 4, 2)
     assert qm.inner(p, q) == 3
     assert qm.orthogonal(qm.position((0, 0, 2)), qm.position((5, 9, 0)))
+
+
+# -- subset images (CanonicalQM.image) -----------------------------------------
+
+@st.composite
+def qm_mask_vector(draw):
+    qm = draw(st.sampled_from(KERNEL_INSTANCES))
+    return qm, sparse_mask(draw, qm), draw(st.integers(0, qm.size - 1))
+
+
+@given(qm_mask_vector())
+@settings(max_examples=60, deadline=None)
+def test_image_matches_per_element(case):
+    qm, mask, p = case
+    want = 0
+    for q in iter_bits(mask):
+        want |= 1 << qm.add(p, q)
+    assert qm.image(mask, "add", p) == want
+    for c in range(qm.lattice.n):
+        want = 0
+        for q in iter_bits(mask):
+            want |= 1 << qm.smul(c, q)
+        assert qm.image(mask, "smul", c) == want
+
+
+def test_image_rejects_bad_arguments(ex1_qm):
+    with pytest.raises(NotInCarrier):
+        ex1_qm.image(1, "add", ex1_qm.size)
+    with pytest.raises(IndexOutOfRange):
+        ex1_qm.image(1, "smul", ex1_qm.lattice.n)
+    with pytest.raises(ValueError):
+        ex1_qm.image(1, "meet", 0)
+
+
+def test_tables_match_coordinatewise_definition():
+    # tables are composed factor by factor; check them against coordinates
+    for qm in (qm_from("n5", ["*", "a"]), qm_from("boolean_3", ["*", "*", "ab"])):
+        join, meet = qm.lattice.join, qm.lattice.meet
+        for p, u in enumerate(qm.carrier):
+            for q, v in enumerate(qm.carrier):
+                assert qm.carrier[qm._add[p][q]] == tuple(join[a][b] for a, b in zip(u, v))
+            for c in range(qm.lattice.n):
+                assert qm.carrier[qm._smul[c][p]] == tuple(meet[c][a] for a in u)
+
+
+def test_orthogonal_agrees_with_inner_product():
+    # orthogonality is computed componentwise; the inner product is the other route
+    for qm in (qm_from("n5", ["*", "a"]), qm_from("n5", ["*", "*"]),
+               qm_from("chain_4", ["*", "*"])):
+        b = qm.lattice.bottom
+        for p in range(qm.size):
+            for q in range(qm.size):
+                assert qm.orthogonal(p, q) == (qm.inner(p, q) == b)
+    qm = qm_from("chain_10", ["*"] * 3)
+    rng = random.Random(7)
+    for _ in range(2000):
+        p, q = rng.randrange(qm.size), rng.randrange(qm.size)
+        assert qm.orthogonal(p, q) == (qm.inner(p, q) == qm.lattice.bottom)

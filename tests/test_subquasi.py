@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasimodules import (
     SubQM,
@@ -15,12 +16,12 @@ from quasimodules import (
     principal_ideal,
     standard_basis,
 )
-from quasimodules.bitset import bit_key
+from quasimodules.bitset import bit_key, iter_bits
 from quasimodules.errors import EnumerationBudgetExceeded, LatticeBoundsMissing
 from quasimodules.subquasi import close_mask
 
 import golden
-from conftest import qm_from
+from conftest import KERNEL_INSTANCES, qm_from, sparse_mask
 
 
 def labels_of(qm, mask):
@@ -244,3 +245,47 @@ def test_published_numbering_fixture(ex1_qm):
     for published_k, vs in enumerate(golden.PUBLISHED_EX1_SUBS, start=1):
         assert computed[frozenset(vs)] == golden.PUBLISHED_TO_COMPUTED_P[published_k]
     assert computed[frozenset(golden.EX1_MISSING_SUB)] == 13
+
+
+# -- is_subquasimodule against the ordered pair scan ------------------------------
+
+def ordered_scan(qm, mask):
+    """is_subquasimodule one pair at a time: zero, (p, q >= p), then (c, p)."""
+    if not mask >> qm.zero & 1:
+        return False, ("zero",)
+    members = list(iter_bits(mask))
+    for i, p in enumerate(members):
+        for q in members[i:]:
+            s = qm.add(p, q)
+            if not mask >> s & 1:
+                return False, ("add", p, q, s)
+    for c in range(qm.lattice.n):
+        for p in members:
+            s = qm.smul(c, p)
+            if not mask >> s & 1:
+                return False, ("smul", c, p, s)
+    return True, None
+
+
+@st.composite
+def qm_and_mask(draw):
+    """A random sparse mask, or a generated subquasimodule with one vector
+    dropped or added, so that every witness kind turns up."""
+    qm = draw(st.sampled_from(KERNEL_INSTANCES))
+    kind = draw(st.sampled_from(("random", "closed", "dropped", "added")))
+    if kind == "random":
+        return qm, sparse_mask(draw, qm)
+    seeds = draw(st.lists(st.integers(0, qm.size - 1), max_size=3))
+    mask = close_mask(qm, sum({1 << p for p in seeds}))
+    if kind == "dropped":
+        mask &= ~(1 << draw(st.sampled_from(list(iter_bits(mask)))))
+    elif kind == "added":
+        mask |= 1 << draw(st.integers(0, qm.size - 1))
+    return qm, mask
+
+
+@given(qm_and_mask())
+@settings(max_examples=80, deadline=None)
+def test_is_subquasimodule_matches_ordered_scan(case):
+    qm, mask = case
+    assert is_subquasimodule(qm, mask) == ordered_scan(qm, mask)
