@@ -117,5 +117,23 @@ class LatticeBoundsMissing(Error):
     """
 
 
+class BasisCheckFailed(Error):
+    """A generating set produced as a basis fails the basis test.
+
+    The standard basis of principal factors and every minimal generating set
+    found by search are bases; reaching this means a library bug, not bad
+    input.
+    """
+
+
+class NodeSetEscaped(Error):
+    """The meet or join of two lattice nodes is not a node.
+
+    Subquasimodule and closed-set lattices are closed under intersection and
+    under the closure of unions; reaching this means a library bug, not bad
+    input.
+    """
+
+
 class UnknownInstance(Error):
     """No bundled reference instance is registered under the requested name."""

@@ -16,12 +16,12 @@ from .bitset import iter_bits
 from .errors import (
     CompanionNotClosed,
     CompanionOverlap,
-    EnumerationBudgetExceeded,
     FactorizationFailed,
     NotClosed,
     NotZeroDistributive,
     SplittingNotClosed,
 )
+from .lattice import is_0_distributive
 from .subquasi import SubQM, SubQMLattice, all_subquasimodules, is_subquasimodule
 
 
@@ -98,28 +98,8 @@ def factor_zero_distributivity(qm):
     Returns a list of (factor index, holds, witness) where the witness is a
     triple of element indices inside the factor.
     """
-    lattice = qm.lattice
-    meet, join, b = lattice.meet, lattice.join, lattice.bottom
-    out = []
-    for i, f in enumerate(qm.factors):
-        els = list(iter_bits(f.members))
-        verdict = (True, None)
-        for x in els:
-            mx = meet[x]
-            jx = join[x]
-            for y in els:
-                my = meet[y]
-                mj = meet[jx[y]]
-                for z in els:
-                    if mx[z] == b and my[z] == b and mj[z] != b:
-                        verdict = (False, (x, y, z))
-                        break
-                if not verdict[0]:
-                    break
-            if not verdict[0]:
-                break
-        out.append((i, verdict[0], verdict[1]))
-    return out
+    return [(i, *is_0_distributive(qm.lattice, f.members))
+            for i, f in enumerate(qm.factors)]
 
 
 def _require_zero_distributive(qm):

@@ -207,17 +207,22 @@ def build_lattice(names, leq_pairs):
 # Each check returns (holds, witness); the witness is the lexicographically
 # smallest violating triple of element indices, or None.
 
-def is_0_distributive(lattice):
-    """x^z = y^z = 0 implies (x v y)^z = 0, for all x, y, z."""
-    n, b = lattice.n, lattice.bottom
+def is_0_distributive(lattice, elements=None):
+    """x^z = y^z = 0 implies (x v y)^z = 0, for all x, y, z.
+
+    With an element bitmask (a sublattice such as an ideal), x, y and z
+    range over its members only.
+    """
+    b = lattice.bottom
     meet, join = lattice.meet, lattice.join
-    for x in range(n):
+    els = range(lattice.n) if elements is None else list(iter_bits(elements))
+    for x in els:
         mx = meet[x]
         jx = join[x]
-        for y in range(n):
+        for y in els:
             my = meet[y]
             mj = meet[jx[y]]
-            for z in range(n):
+            for z in els:
                 if mx[z] == b and my[z] == b and mj[z] != b:
                     return False, (x, y, z)
     return True, None

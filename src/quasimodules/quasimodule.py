@@ -4,17 +4,23 @@ Addition is componentwise join, the scalar action is componentwise meet with
 the scalar, and the zero vector is all-bottom. The carrier is enumerated once
 in row-major order of the factor member lists (each sorted by element index),
 so carrier subsets become int bitmasks over carrier positions.
+
+A CanonicalQM keeps no operation tables: a single sum or scalar multiple is
+computed from the coordinates, and the image of a whole carrier subset under
+q -> p + q or q -> c q is a few masked shifts of its bitmask
+(CanonicalQM.image), at every carrier size.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from math import prod
 
-from .bitset import iter_bits, mask_of
+from .bitset import iter_bits
 from .errors import (
+    BasisCheckFailed,
     CarrierTooLarge,
     FactorNotIdeal,
     FactorNotPrincipal,
@@ -23,9 +29,6 @@ from .errors import (
     ParseError,
 )
 from .lattice import Ideal, Lattice, is_ideal, load_lattice
-
-# Below this carrier size, addition and scalar action are fully tabulated.
-_TABLE_LIMIT = 512
 
 
 class CanonicalQM:
@@ -37,8 +40,7 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_add", "_smul", "_pperp", "_factor_qms", "_coord_masks",
-                 "_moves")
+                 "_pperp", "_factor_qms", "_coord_masks", "_moves", "_steps")
 
     def __init__(self, lattice, factors, carrier, index):
         self.lattice = lattice
@@ -50,13 +52,10 @@ class CanonicalQM:
         self._pperp = {}
         self._factor_qms = {}
         self._coord_masks = None
-        # kind -> factor -> element -> [(slab, shift)], filled by image()
-        self._moves = {"add": [{} for _ in factors], "smul": [{} for _ in factors]}
-        if self.size <= _TABLE_LIMIT:
-            self._add, self._smul = _product_tables(lattice, factors)
-        else:
-            self._add = None
-            self._smul = None
+        # (kind, factor, element) -> [(slab, shift)], shared by the steps
+        self._moves = {}
+        # (kind, a) -> tuple of the non-identity move lists, filled by image()
+        self._steps = {}
 
     # -- vectors -----------------------------------------------------------
 
@@ -89,8 +88,6 @@ class CanonicalQM:
     def add(self, p, q):
         self._check(p)
         self._check(q)
-        if self._add is not None:
-            return self._add[p][q]
         join = self.lattice.join
         return self.index[tuple(join[a][b] for a, b in zip(self.carrier[p], self.carrier[q]))]
 
@@ -98,8 +95,6 @@ class CanonicalQM:
         if not 0 <= c < self.lattice.n:
             raise IndexOutOfRange(f"scalar index out of range: {c}")
         self._check(p)
-        if self._smul is not None:
-            return self._smul[c][p]
         meet = self.lattice.meet
         return self.index[tuple(meet[c][a] for a in self.carrier[p])]
 
@@ -184,8 +179,24 @@ class CanonicalQM:
         coordinate i from e to e' moves the whole slab coord_mask(i, e) by one
         bit offset. The map acts on one coordinate at a time, each step a few
         masked shifts of the whole bitmask; ideals are closed under join and
-        under meet with any scalar, so no shift leaves the carrier.
+        under meet with any scalar, so no shift leaves the carrier. The steps
+        of each (kind, a) are validated and cached on first use.
         """
+        steps = self._steps.get((kind, a))
+        if steps is None:
+            steps = self._image_steps(kind, a)
+        for moves in steps:
+            out = 0
+            for slab, shift in moves:
+                if shift >= 0:
+                    out |= (mask & slab) << shift
+                else:
+                    out |= (mask & slab) >> -shift
+            mask = out
+        return mask
+
+    def _image_steps(self, kind, a):
+        """Validate (kind, a) and cache its per-coordinate move lists."""
         if kind == "add":
             self._check(a)
             xs = self.carrier[a]
@@ -195,23 +206,15 @@ class CanonicalQM:
             xs = (a,) * len(self.factors)
         else:
             raise ValueError(f"unknown image kind: {kind!r}")
+        steps = []
         for i, x in enumerate(xs):
-            cache = self._moves[kind][i]
-            moves = cache.get(x)
+            moves = self._moves.get((kind, i, x))
             if moves is None:
-                moves = cache[x] = self._slab_moves(kind, i, x)
-            if not moves:
-                continue
-            out = 0
-            for slab, shift in moves:
-                if shift > 0:
-                    out |= (mask & slab) << shift
-                elif shift < 0:
-                    out |= (mask & slab) >> -shift
-                else:
-                    out |= mask & slab
-            mask = out
-        return mask
+                moves = self._moves[kind, i, x] = self._slab_moves(kind, i, x)
+            if moves:
+                steps.append(moves)
+        steps = self._steps[kind, a] = tuple(steps)
+        return steps
 
     def _slab_moves(self, kind, i, x):
         """[(slab, shift)] for e -> join(x, e) or meet(x, e) on coordinate i.
@@ -270,33 +273,6 @@ def canonical(lattice, factors, max_carrier=10 ** 6):
     return CanonicalQM(lattice, factors, carrier, index)
 
 
-def _product_tables(lattice, factors):
-    """Addition and scalar tables of the row-major product carrier.
-
-    Built factor by factor: with A the product of the factors so far and F
-    the next one, position (a, x) is a * |F| + x, so the sum row of (a, x)
-    is the concatenation, over the entries v of A's row a, of the shared
-    list [v * |F| + loc(x v y) for y in F].
-    """
-    join, meet = lattice.join, lattice.meet
-    add = [[0]]
-    smul = [[0] for _ in range(lattice.n)]
-    m = 1
-    for f in factors:
-        members = list(iter_bits(f.members))
-        loc = {e: k for k, e in enumerate(members)}
-        size = len(members)
-        f_add = [[loc[join[x][y]] for y in members] for x in members]
-        shifted = [[[v * size + s for s in f_add[x]] for v in range(m)]
-                   for x in range(size)]
-        add = [list(chain.from_iterable(map(shifted[x].__getitem__, row)))
-               for row in add for x in range(size)]
-        smul = [[v * size + loc[meet[c][e]] for v in row for e in members]
-                for c, row in enumerate(smul)]
-        m *= size
-    return add, smul
-
-
 def standard_basis(qm, check=True):
     """One generator per factor: the factor's top in that coordinate, bottom elsewhere.
 
@@ -318,7 +294,8 @@ def standard_basis(qm, check=True):
     if check:
         from .subquasi import SubQM, is_basis
 
-        assert is_basis(SubQM(qm, qm.full_mask), out)
+        if not is_basis(SubQM(qm, qm.full_mask), out):
+            raise BasisCheckFailed(f"standard basis {out} is not a basis")
     return out
 
 
@@ -371,20 +348,22 @@ def verify_axioms(m):
     bottom/top scalar laws. Each entry reports the first witness on failure.
     """
     if isinstance(m, CanonicalQM):
-        size, zero, lattice = m.size, m.zero, m.lattice
-        add, smul = m.add, m.smul
+        # tabulate once; the associativity loop makes |Q|^3 lookups
+        positions = range(m.size)
+        m = RawQM(m.lattice, tuple(tuple(m.add(p, q) for q in positions) for p in positions),
+                  tuple(tuple(m.smul(c, p) for p in positions) for c in range(m.lattice.n)),
+                  m.zero)
     else:
         _check_shape(m)
-        size, zero, lattice = m.size, m.zero, m.lattice
-        add = lambda p, q: m.add[p][q]
-        smul = lambda c, p: m.smul[c][p]
+    size, zero, lattice = m.size, m.zero, m.lattice
+    add, smul = m.add, m.smul
 
     checks = []
 
     witness = None
     for p in range(size):
         for q in range(p + 1, size):
-            if add(p, q) != add(q, p):
+            if add[p][q] != add[q][p]:
                 witness = (p, q)
                 break
         if witness:
@@ -394,9 +373,9 @@ def verify_axioms(m):
     witness = None
     for p in range(size):
         for q in range(size):
-            pq = add(p, q)
+            pq = add[p][q]
             for r in range(size):
-                if add(pq, r) != add(p, add(q, r)):
+                if add[pq][r] != add[p][add[q][r]]:
                     witness = (p, q, r)
                     break
             if witness:
@@ -407,7 +386,7 @@ def verify_axioms(m):
 
     witness = None
     for p in range(size):
-        if add(zero, p) != p or add(p, zero) != p:
+        if add[zero][p] != p or add[p][zero] != p:
             witness = (p,)
             break
     checks.append(AxiomCheck("add.identity", witness is None, witness))
@@ -418,7 +397,7 @@ def verify_axioms(m):
         for b in range(lattice.n):
             ab = meet[a][b]
             for p in range(size):
-                if smul(a, smul(b, p)) != smul(ab, p):
+                if smul[a][smul[b][p]] != smul[ab][p]:
                     witness = (a, b, p)
                     break
             if witness:
@@ -429,14 +408,14 @@ def verify_axioms(m):
 
     witness = None
     for p in range(size):
-        if smul(lattice.bottom, p) != zero:
+        if smul[lattice.bottom][p] != zero:
             witness = (p,)
             break
     checks.append(AxiomCheck("scalar.bottom", witness is None, witness))
 
     witness = None
     for p in range(size):
-        if smul(lattice.top, p) != p:
+        if smul[lattice.top][p] != p:
             witness = (p,)
             break
     checks.append(AxiomCheck("scalar.top", witness is None, witness))

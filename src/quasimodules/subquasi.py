@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bitset import bit_key, iter_bits
-from .errors import EnumerationBudgetExceeded, LatticeBoundsMissing
+from .errors import (
+    BasisCheckFailed,
+    EnumerationBudgetExceeded,
+    LatticeBoundsMissing,
+    NodeSetEscaped,
+)
 from .quasimodule import CanonicalQM
 
 
@@ -47,33 +52,27 @@ def close_mask(qm, mask, base=0):
     base, if given, must already be closed. Its members start out processed,
     so only the vectors of mask outside base, and what they generate, are
     visited: close_mask(qm, m, base=b) == close_mask(qm, m | b).
+
+    Semi-naive: each round adds the scalar images of the fresh vectors and
+    the sums of each fresh vector with the whole closed set, each one subset
+    image (CanonicalQM.image); what is new becomes the next fresh set.
     """
     closed = base | mask | 1 << qm.zero
-    if qm._add is not None:
-        add_t, smul_t = qm._add, qm._smul
-        add = lambda p, q: add_t[p][q]
-        smul = lambda c, p: smul_t[c][p]
-    else:
-        add, smul = qm.add, qm.smul
-    scalars = range(qm.lattice.n)
-    queue = list(iter_bits(closed & ~base))
-    processed = list(iter_bits(base))
-    while queue:
-        p = queue.pop()
-        # p + p = p (join is idempotent), so self-pairs need no visit
-        for q in processed:
-            s = add(p, q)
-            if not closed >> s & 1:
-                closed |= 1 << s
-                queue.append(s)
+    fresh = closed & ~base
+    image = qm.image
+    # bottom sends every vector to zero and top fixes it, so neither adds one
+    trivial = (qm.lattice.bottom, qm.lattice.top)
+    scalars = [c for c in range(qm.lattice.n) if c not in trivial]
+    while fresh:
+        new = 0
         # meet does not distribute over join (N5), so every new sum needs
         # its own scalar orbit
         for c in scalars:
-            s = smul(c, p)
-            if not closed >> s & 1:
-                closed |= 1 << s
-                queue.append(s)
-        processed.append(p)
+            new |= image(fresh, "smul", c)
+        for p in iter_bits(fresh):
+            new |= image(closed, "add", p)
+        fresh = new & ~closed
+        closed |= fresh
     return closed
 
 
@@ -153,18 +152,20 @@ class SubQMLattice:
         return self.nodes[i] & ~self.nodes[j] == 0
 
     def meet(self, i, j):
-        m = self.nodes[i] & self.nodes[j]
-        assert m in self.index, "meet escaped the node set"
-        return self.index[m]
+        k = self.index.get(self.nodes[i] & self.nodes[j])
+        if k is None:
+            raise NodeSetEscaped(f"meet of {self.name(i)} and {self.name(j)} is not a node")
+        return k
 
     def join(self, i, j):
         u = self.nodes[i] | self.nodes[j]
-        j_mask = self.index.get(u)
-        if j_mask is None:
-            closed = self._join_closure(u)
-            assert closed in self.index, "join escaped the node set"
-            return self.index[closed]
-        return j_mask
+        k = self.index.get(u)
+        if k is None:
+            k = self.index.get(self._join_closure(u))
+            if k is None:
+                raise NodeSetEscaped(
+                    f"join of {self.name(i)} and {self.name(j)} is not a node")
+        return k
 
     @property
     def bottom_index(self):
@@ -278,7 +279,8 @@ def find_bases(sub, max_size, max_candidates=500_000):
                 mask |= 1 << p
             if close_mask(qm, mask) != target:
                 continue
-            assert is_basis(sub, mask)
+            if not is_basis(sub, mask):
+                raise BasisCheckFailed(f"minimal generating set {combo} is not a basis")
             orth = all(qm.orthogonal(p, q) for p, q in combinations(combo, 2))
             out.append((combo, orth))
             found_sets.append(cset)

@@ -27,7 +27,6 @@ from ..galois import (
     perp,
     principal_perp,
     product_mask,
-    sum_set,
 )
 from ..lattice import Ideal, format_lattice, principal_ideal
 from ..quasimodule import verify_axioms
@@ -207,17 +206,9 @@ class _Ctx:
         """(masks, note) quantifying 'for all subsets' clauses."""
         if self.m <= self.b.exhaustive_subset_bits:
             return range(1 << self.m), None
-        pool = {0, self.full, self.zmask}
-        for p in range(self.m):
-            pool.add(1 << p)
-        if self.subs is not None:
-            pool.update(self.subs.nodes)
-        rng = random.Random(self.b.seed + 2)
-        for _ in range(self.b.random_subsets):
-            pool.add(rng.getrandbits(self.m))
         note = (f"sampled: subquasimodules, singletons and "
                 f"{self.b.random_subsets} seeded subsets")
-        return sorted(pool), note
+        return self.sampled_pool(self.b.random_subsets, 2), note
 
     def pair_pool(self):
         """(pairs, note) quantifying 'for all pairs of subsets' clauses."""
@@ -236,14 +227,15 @@ class _Ctx:
                 f"{self.b.random_pairs} seeded pairs")
         return pairs, note
 
-    def sampled_pool(self, count):
-        """Small deterministic pool for closure-heavy clauses."""
+    def sampled_pool(self, count, seed_offset):
+        """Sorted pool: empty set, {zero}, carrier, singletons, every
+        subquasimodule if enumerable, and `count` seeded random subsets."""
         pool = {0, self.zmask, self.full}
         for p in range(self.m):
             pool.add(1 << p)
         if self.subs is not None:
             pool.update(self.subs.nodes)
-        rng = random.Random(self.b.seed + 4)
+        rng = random.Random(self.b.seed + seed_offset)
         for _ in range(count):
             pool.add(rng.getrandbits(self.m))
         return sorted(pool)
@@ -517,7 +509,7 @@ def _c_th2_v(ctx):
 
 @_hyp_guard
 def _c_th2_vi(ctx):
-    pool = ctx.sampled_pool(ctx.b.sampled_closures)
+    pool = ctx.sampled_pool(ctx.b.sampled_closures, 4)
     note = f"sampled over {len(pool)} subsets"
     for a in pool:
         if ctx.perp_of(a) != ctx.perp_of(ctx.close_of(a)):
@@ -653,14 +645,11 @@ def _c_splitting_perp(ctx):
 def _c_splitting_product(ctx):
     def factor_side(fqm, fmask):
         ok, _ = is_subquasimodule(fqm, fmask)
-        return ok and is_splitting_mask(fqm, fmask)
+        return ok and is_splitting(fqm, SubQM(fqm, fmask))
 
     def product_side(mask):
         ok, _ = ctx.subqm_of(mask)
-        return ok and is_splitting_mask(ctx.qm, mask)
-
-    def is_splitting_mask(qm, mask):
-        return sum_set(qm, mask, perp(qm, mask)) == qm.full_mask
+        return ok and is_splitting(ctx.qm, SubQM(ctx.qm, mask))
 
     return _product_iff(ctx, factor_side, product_side)
 

@@ -16,7 +16,7 @@ def qm_from(lattice_name, factor_gens):
 
 
 # For the slab-shift kernel tests: ex1; M3 x [0,a], which is not
-# 0-distributive; N5^4, above the table limit
+# 0-distributive; N5^4, the largest carrier (625 vectors)
 KERNEL_INSTANCES = (qm_from("n5", ["*", "a"]), qm_from("m3", ["*", "a"]),
                     qm_from("n5", ["*"] * 4))
 

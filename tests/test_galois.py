@@ -35,6 +35,7 @@ from quasimodules.errors import (
 )
 from quasimodules.galois import (
     closed_sets,
+    factor_zero_distributivity,
     is_order_embedding,
     principal_perp,
     product_mask,
@@ -119,6 +120,27 @@ def test_closed_refuses_non_zero_distributive(m3_qm):
     with pytest.raises(NotZeroDistributive) as err:
         closed_subquasimodules(m3_qm)
     assert err.value.factor == 0
+
+
+def test_factor_zero_distributivity_matches_triple_scan(ex1_qm, m3_qm, fig5_qm):
+    def triple_scan(lattice, members):
+        # the triple loop over factor members, ascending
+        meet, join, b = lattice.meet, lattice.join, lattice.bottom
+        els = list(iter_bits(members))
+        for x in els:
+            for y in els:
+                for z in els:
+                    if meet[x][z] == b and meet[y][z] == b and meet[join[x][y]][z] != b:
+                        return False, (x, y, z)
+        return True, None
+
+    verdicts = []
+    for qm in (ex1_qm, m3_qm, fig5_qm):
+        got = factor_zero_distributivity(qm)
+        assert got == [(i, *triple_scan(qm.lattice, f.members))
+                       for i, f in enumerate(qm.factors)]
+        verdicts += [ok for _, ok, _ in got]
+    assert False in verdicts and True in verdicts
 
 
 def test_closed_equals_filter_oracle(ex1_qm):
@@ -315,28 +337,39 @@ def test_splitting_not_closed_raises(ex1_qm, monkeypatch):
 
 OPTIMIZED_SCRIPT = """
 import sys
-from quasimodules import SubQM, galois
-from quasimodules.errors import CompanionNotClosed, CompanionOverlap, SplittingNotClosed
+from quasimodules import SubQM, galois, subquasi
+from quasimodules.errors import (BasisCheckFailed, CompanionNotClosed, CompanionOverlap,
+                                 NodeSetEscaped, SplittingNotClosed)
 from quasimodules.lattice import builtin, principal_ideal
-from quasimodules.quasimodule import canonical
+from quasimodules.quasimodule import canonical, standard_basis
 
 assert sys.flags.optimize
 n5 = builtin("n5")
 qm = canonical(n5, [principal_ideal(n5, n5.top), principal_ideal(n5, n5.index("a"))])
-perp, is_closed = galois.perp, galois.is_closed
+subs = subquasi.all_subquasimodules(qm)
+full = SubQM(qm, qm.full_mask)
+p, q = qm.vector("a", "0"), qm.vector("b", "0")
+i, j = subs.index[subquasi.close_mask(qm, 1 << p)], subs.index[subquasi.close_mask(qm, 1 << q)]
+not_basis = lambda sub, vectors: False
 for error, patch, call in (
-        (CompanionNotClosed, ("perp", lambda qm, v: 0),
+        (CompanionNotClosed, (galois, "perp", lambda qm, v: 0),
          lambda: galois.closed_subquasimodules(qm)),
-        (CompanionOverlap, ("perp", lambda qm, v: qm.full_mask),
+        (CompanionOverlap, (galois, "perp", lambda qm, v: qm.full_mask),
          lambda: galois.is_splitting(qm, SubQM(qm, qm.full_mask))),
-        (SplittingNotClosed, ("is_closed", lambda qm, v: False),
-         lambda: galois.splitting_subquasimodules(qm))):
-    setattr(galois, *patch)
+        (SplittingNotClosed, (galois, "is_closed", lambda qm, v: False),
+         lambda: galois.splitting_subquasimodules(qm)),
+        (BasisCheckFailed, (subquasi, "is_basis", not_basis), lambda: standard_basis(qm)),
+        (BasisCheckFailed, (subquasi, "is_basis", not_basis),
+         lambda: subquasi.find_bases(full, 2)),
+        (NodeSetEscaped, (subs, "index", {}), lambda: subs.meet(i, j)),
+        (NodeSetEscaped, (subs, "index", {}), lambda: subs.join(i, j))):
+    saved = getattr(*patch[:2])
+    setattr(*patch)
     try:
         call()
     except error:
         print(error.__name__)
-    galois.perp, galois.is_closed = perp, is_closed
+    setattr(*patch[:2], saved)
 """
 
 
@@ -347,4 +380,5 @@ def test_library_bug_errors_survive_python_O():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["CompanionNotClosed", "CompanionOverlap",
-                                   "SplittingNotClosed"]
+                                   "SplittingNotClosed", "BasisCheckFailed",
+                                   "BasisCheckFailed", "NodeSetEscaped", "NodeSetEscaped"]

@@ -17,7 +17,13 @@ from quasimodules import (
     standard_basis,
 )
 from quasimodules.bitset import bit_key, iter_bits
-from quasimodules.errors import EnumerationBudgetExceeded, LatticeBoundsMissing
+from quasimodules import subquasi
+from quasimodules.errors import (
+    BasisCheckFailed,
+    EnumerationBudgetExceeded,
+    LatticeBoundsMissing,
+    NodeSetEscaped,
+)
 from quasimodules.subquasi import close_mask
 
 import golden
@@ -238,6 +244,37 @@ def test_subqm_lattice_missing_top_raises(ex1_qm):
             SubQMLattice(ex1_qm, node_masks, join_closure=lambda m: close_mask(ex1_qm, m))
 
 
+def test_standard_basis_check_failure_raises(ex1_qm, monkeypatch):
+    monkeypatch.setattr(subquasi, "is_basis", lambda sub, vectors: False)
+    with pytest.raises(BasisCheckFailed):
+        standard_basis(ex1_qm)
+    assert len(standard_basis(ex1_qm, check=False)) == 2
+
+
+def test_find_bases_check_failure_raises(ex1_qm, monkeypatch):
+    monkeypatch.setattr(subquasi, "is_basis", lambda sub, vectors: False)
+    with pytest.raises(BasisCheckFailed):
+        find_bases(SubQM(ex1_qm, ex1_qm.full_mask), max_size=2)
+
+
+def test_meet_outside_node_set_raises(ex1_qm, monkeypatch):
+    subs = all_subquasimodules(ex1_qm)
+    i, j = next((i, j) for i, j in combinations(range(len(subs)), 2)
+                if subs.meet(i, j) not in (i, j))
+    monkeypatch.delitem(subs.index, subs.nodes[subs.meet(i, j)])
+    with pytest.raises(NodeSetEscaped):
+        subs.meet(i, j)
+
+
+def test_join_outside_node_set_raises(ex1_qm, monkeypatch):
+    subs = all_subquasimodules(ex1_qm)
+    i, j = next((i, j) for i, j in combinations(range(len(subs)), 2)
+                if subs.nodes[i] | subs.nodes[j] not in subs.index)
+    monkeypatch.delitem(subs.index, subs.nodes[subs.join(i, j)])
+    with pytest.raises(NodeSetEscaped):
+        subs.join(i, j)
+
+
 def test_published_numbering_fixture(ex1_qm):
     subs = all_subquasimodules(ex1_qm)
     computed = {frozenset(labels_of(ex1_qm, m)): i + 1
@@ -289,3 +326,40 @@ def qm_and_mask(draw):
 def test_is_subquasimodule_matches_ordered_scan(case):
     qm, mask = case
     assert is_subquasimodule(qm, mask) == ordered_scan(qm, mask)
+
+
+# -- close_mask against the per-element worklist ----------------------------------
+
+def worklist_closure(qm, mask, base=0):
+    """close_mask one vector at a time: each popped vector is added to every
+    processed one and multiplied by every scalar."""
+    closed = base | mask | 1 << qm.zero
+    queue = list(iter_bits(closed & ~base))
+    processed = list(iter_bits(base))
+    while queue:
+        p = queue.pop()
+        for s in [qm.add(p, q) for q in processed] + [
+                qm.smul(c, p) for c in range(qm.lattice.n)]:
+            if not closed >> s & 1:
+                closed |= 1 << s
+                queue.append(s)
+        processed.append(p)
+    return closed
+
+
+@st.composite
+def qm_mask_base(draw):
+    """A sparse mask and a base that is empty or the closure of another one."""
+    qm = draw(st.sampled_from(KERNEL_INSTANCES))
+    mask = sparse_mask(draw, qm)
+    base = draw(st.sampled_from((0, None)))
+    if base is None:
+        base = worklist_closure(qm, sparse_mask(draw, qm))
+    return qm, mask, base
+
+
+@given(qm_mask_base())
+@settings(max_examples=80, deadline=None)
+def test_close_mask_matches_worklist(case):
+    qm, mask, base = case
+    assert close_mask(qm, mask, base=base) == worklist_closure(qm, mask, base)
