@@ -40,7 +40,10 @@ def main():
         findings = counterexample_search(cfg)
         print(f"drop {drop!r}: {len(findings)} finding(s)")
         for f in findings:
-            assert replay_witness(f), "finding must replay"
+            if not replay_witness(f):
+                print(f"error: finding [{f.clause}] {f.instance} does not replay",
+                      file=sys.stderr)
+                return 1
             total += 1
             print(f"  [{f.clause}] {f.instance}")
             for line in f.witness["lattice"].rstrip().splitlines():

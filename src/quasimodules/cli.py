@@ -30,8 +30,11 @@ from .lattice import (
 from .quasimodule import canonical, read_qm_file
 from .subquasi import SubQM, all_subquasimodules, find_bases
 from .verify import (
+    DROPPABLE,
     FAIL,
+    MAX_LATTICE_SIZE,
     REFERENCE_INSTANCES,
+    Budgets,
     SearchConfig,
     check_all,
     check_homomorphism,
@@ -40,6 +43,14 @@ from .verify import (
 )
 
 QM_ACTIONS = ("subs", "closed", "splitting", "perp-table", "bases", "verify")
+
+
+def _non_negative(text):
+    """argparse type: an int that is at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def _build_parser():
@@ -56,7 +67,7 @@ def _build_parser():
     p_qm = sub.add_parser("qm", help="quasimodule computations")
     p_qm.add_argument("action", choices=QM_ACTIONS)
     p_qm.add_argument("file")
-    p_qm.add_argument("--max-basis-size", type=int, default=3)
+    p_qm.add_argument("--max-basis-size", type=_non_negative, default=3)
     p_qm.add_argument("--budget", type=int, default=200_000,
                       help="node budget for subquasimodule enumeration")
     p_qm.add_argument("--format", choices=("table", "structured"), default="table")
@@ -75,11 +86,12 @@ def _build_parser():
     p_ver = sub.add_parser("verify", help="run the verification harness")
     p_ver.add_argument("--instance", choices=REFERENCE_INSTANCES, default=None)
     p_ver.add_argument("--search", action="store_true")
-    p_ver.add_argument("--max-size", type=int, default=5)
+    p_ver.add_argument("--max-size", type=int, default=5,
+                       choices=range(1, MAX_LATTICE_SIZE + 1))
     p_ver.add_argument("--max-factors", type=int, default=2)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--drop", action="append", default=[],
-                       metavar="HYP", help="claim to drop while searching")
+    p_ver.add_argument("--drop", action="append", default=[], choices=DROPPABLE,
+                       help="claim to drop while searching")
     p_ver.add_argument("--report", default="quasimod-report.jsonl",
                        help="machine-readable report path")
     p_ver.add_argument("--no-report", action="store_true",
@@ -139,9 +151,10 @@ def _cmd_qm(args):
     action = args.action
 
     if action == "verify":
-        reports = check_all(qm, instance=args.file)
+        budgets = Budgets(max_nodes=args.budget)
+        reports = check_all(qm, budgets, instance=args.file)
         try:
-            reports.append(check_homomorphism(qm, instance=args.file))
+            reports.append(check_homomorphism(qm, budgets, instance=args.file))
         except NotZeroDistributive as exc:
             print(f"# homomorphism skipped: {exc}")
         _print_reports(reports, args.format)

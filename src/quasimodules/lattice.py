@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .bitset import iter_bits, mask_of
+from .bitset import cover_pairs, iter_bits, mask_of
 from .errors import (
     FactorNotIdeal,
     IndexOutOfRange,
@@ -144,14 +144,7 @@ class Lattice:
 
     def covers(self):
         """Cover pairs (i, j) with j covering i, in lexicographic order."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and self.up[i] >> j & 1:
-                    between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-                    if not between:
-                        out.append((i, j))
-        return out
+        return cover_pairs(self.up)
 
     @property
     def full_mask(self):

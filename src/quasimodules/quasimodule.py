@@ -443,7 +443,7 @@ def _check_shape(m):
 #   factor: principal a
 #   factor: set 0 a c
 
-def parse_qm(text, base_dir=".", source="<qm>", max_carrier=10 ** 6):
+def parse_qm(text, base_dir=".", source="<qm>"):
     lattice = None
     factor_specs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -488,11 +488,11 @@ def parse_qm(text, base_dir=".", source="<qm>", max_carrier=10 ** 6):
                 factors.append(Ideal.from_members(lattice, payload))
         except (IndexOutOfRange, FactorNotIdeal) as exc:
             raise ParseError(str(exc), source, lineno) from exc
-    return canonical(lattice, factors, max_carrier=max_carrier)
+    return canonical(lattice, factors)
 
 
-def read_qm_file(path, max_carrier=10 ** 6):
+def read_qm_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_qm(text, base_dir=os.path.dirname(os.path.abspath(path)),
-                    source=str(path), max_carrier=max_carrier)
+                    source=str(path))

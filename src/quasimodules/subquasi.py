@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitset import bit_key, iter_bits
+from .bitset import bit_key, cover_pairs, iter_bits, superset_masks
 from .errors import (
     BasisCheckFailed,
     EnumerationBudgetExceeded,
@@ -177,16 +177,7 @@ class SubQMLattice:
 
     def covers(self):
         """Cover pairs (i, j) of the containment order, lexicographic."""
-        n = len(self.nodes)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq(i, j):
-                    continue
-                if not any(k != i and k != j and self.leq(i, k) and self.leq(k, j)
-                           for k in range(n)):
-                    out.append((i, j))
-        return out
+        return cover_pairs(superset_masks(self.nodes))
 
     def __repr__(self):
         return f"SubQMLattice({self.kind}, {len(self.nodes)} nodes)"

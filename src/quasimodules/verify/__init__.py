@@ -21,7 +21,8 @@ from .laws import (
     check_all,
     check_homomorphism,
 )
-from .search import DROPPABLE, SearchConfig, counterexample_search, replay_witness
+from .search import (DROPPABLE, MAX_LATTICE_SIZE, SearchConfig,
+                     counterexample_search, replay_witness)
 
 __all__ = [
     "BUDGET",
@@ -30,6 +31,7 @@ __all__ = [
     "DROPPABLE",
     "FAIL",
     "HYP",
+    "MAX_LATTICE_SIZE",
     "PASS",
     "REFERENCE_INSTANCES",
     "SearchConfig",

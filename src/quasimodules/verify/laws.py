@@ -16,7 +16,7 @@ from itertools import combinations, product as iproduct
 from time import perf_counter
 
 from ..bitset import bit_key, iter_bits, mask_of
-from ..errors import EnumerationBudgetExceeded, NotZeroDistributive
+from ..errors import EnumerationBudgetExceeded
 from ..galois import (
     closed_lattice_iso,
     closed_subquasimodules,
@@ -27,6 +27,7 @@ from ..galois import (
     perp,
     principal_perp,
     product_mask,
+    zero_distributivity_defect,
 )
 from ..lattice import Ideal, format_lattice, principal_ideal
 from ..quasimodule import verify_axioms
@@ -36,6 +37,14 @@ PASS = "pass"
 FAIL = "fail"
 HYP = "hypothesis-not-met"
 BUDGET = "budget-exceeded"
+
+# Fixed quantifier thresholds: carrier sizes up to which subset and pair
+# clauses are exhaustive, family and orthogonal-set sizes, product-combo cap.
+_EXHAUSTIVE_SUBSET_BITS = 16
+_EXHAUSTIVE_PAIR_BITS = 10
+_MAX_FAMILY = 4
+_MAX_ORTHOGONAL_SIZE = 3
+_PRODUCT_COMBO_CAP = 4096
 
 
 @dataclass
@@ -60,18 +69,14 @@ class TheoremReport:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Quantifier budgets for the law suites; seeded runs are reproducible."""
+    """Sample sizes, the subquasimodule node budget and the seed of the law
+    suites; seeded runs are reproducible."""
 
-    exhaustive_subset_bits: int = 16
-    exhaustive_pair_bits: int = 10
     random_subsets: int = 1000
     random_pairs: int = 1500
     family_samples: int = 300
-    max_family: int = 4
     sampled_closures: int = 300
-    max_orthogonal_size: int = 3
     max_nodes: int = 200_000
-    product_combo_cap: int = 4096
     seed: int = 0
 
 
@@ -90,25 +95,12 @@ class _Ctx:
         self._perp_cache = {}
         self._close_cache = {}
         self._subqm_cache = {}
+        self.zd_defect = zero_distributivity_defect(qm)
         self._subs = "unset"
         self._subs_note = None
         self._closed = "unset"
         self._splitting = None
         self._factor_subqm_pools = None
-
-    # -- hypotheses --------------------------------------------------------
-
-    def zd(self):
-        from ..galois import factor_zero_distributivity
-
-        return factor_zero_distributivity(self.qm)
-
-    def zd_failure(self):
-        for i, ok, witness in self.zd():
-            if not ok:
-                labels = tuple(self.qm.lattice.names[e] for e in witness)
-                return i, labels
-        return None
 
     # -- derived structures --------------------------------------------------
 
@@ -126,7 +118,7 @@ class _Ctx:
     def closed(self):
         if self._closed == "unset":
             self._closed = (closed_subquasimodules(self.qm)
-                            if self.zd_failure() is None else None)
+                            if self.zd_defect is None else None)
         return self._closed
 
     def splitting_masks(self):
@@ -173,7 +165,7 @@ class _Ctx:
         self._perptab = tab
 
     def perp_of(self, mask):
-        if self.m <= self.b.exhaustive_subset_bits:
+        if self.m <= _EXHAUSTIVE_SUBSET_BITS:
             if self._perptab is None:
                 self._build_perptab()
             return self._perptab[mask]
@@ -204,7 +196,7 @@ class _Ctx:
 
     def subset_pool(self):
         """(masks, note) quantifying 'for all subsets' clauses."""
-        if self.m <= self.b.exhaustive_subset_bits:
+        if self.m <= _EXHAUSTIVE_SUBSET_BITS:
             return range(1 << self.m), None
         note = (f"sampled: subquasimodules, singletons and "
                 f"{self.b.random_subsets} seeded subsets")
@@ -212,7 +204,7 @@ class _Ctx:
 
     def pair_pool(self):
         """(pairs, note) quantifying 'for all pairs of subsets' clauses."""
-        if self.m <= self.b.exhaustive_pair_bits:
+        if self.m <= _EXHAUSTIVE_PAIR_BITS:
             n = 1 << self.m
             return ((a, b) for a in range(n) for b in range(n)), None
         base, _ = self.subset_pool()
@@ -397,11 +389,9 @@ def _c_separation(ctx):
 
 
 def _c_prop2(ctx):
-    zd = ctx.zd_failure()
     pool, note = ctx.subset_pool()
-    if zd is not None:
-        i, labels = zd
-        hyp_note = f"factor {i} is not 0-distributive (witness {labels})"
+    if ctx.zd_defect is not None:
+        hyp_note = str(ctx.zd_defect)
         for a in pool:
             ok, witness = ctx.subqm_of(ctx.perp_of(a))
             if not ok:
@@ -420,10 +410,8 @@ def _c_prop2(ctx):
 
 def _hyp_guard(fn):
     def wrapped(ctx):
-        zd = ctx.zd_failure()
-        if zd is not None:
-            i, labels = zd
-            return HYP, None, f"factor {i} is not 0-distributive (witness {labels})"
+        if ctx.zd_defect is not None:
+            return HYP, None, str(ctx.zd_defect)
         return fn(ctx)
 
     return wrapped
@@ -519,8 +507,8 @@ def _c_th2_vi(ctx):
 
 @_hyp_guard
 def _c_th2_vii(ctx):
-    sets = _orthogonal_sets(ctx, ctx.b.max_orthogonal_size)
-    note = f"orthogonal sets up to size {ctx.b.max_orthogonal_size} ({len(sets)} sets)"
+    sets = _orthogonal_sets(ctx, _MAX_ORTHOGONAL_SIZE)
+    note = f"orthogonal sets up to size {_MAX_ORTHOGONAL_SIZE} ({len(sets)} sets)"
     for cset in sets:
         cmask = mask_of(cset)
         for r in range(len(cset) + 1):
@@ -663,11 +651,11 @@ def _product_iff(ctx, factor_side, product_side):
         total *= len(p)
     note = None
     choices = iproduct(*pools)
-    if total > ctx.b.product_combo_cap:
+    if total > _PRODUCT_COMBO_CAP:
         rng = random.Random(ctx.b.seed + 5)
         choices = [tuple(rng.choice(p) for p in pools)
-                   for _ in range(ctx.b.product_combo_cap)]
-        note = f"sampled {ctx.b.product_combo_cap} of {total} factor combinations"
+                   for _ in range(_PRODUCT_COMBO_CAP)]
+        note = f"sampled {_PRODUCT_COMBO_CAP} of {total} factor combinations"
     for choice in choices:
         mask = product_mask(qm, choice)
         left = product_side(mask)
@@ -681,16 +669,20 @@ def _product_iff(ctx, factor_side, product_side):
 
 
 def _family_check(ctx, law):
-    """Apply a family law to seeded families of size 3..max_family."""
+    """Apply a family law to seeded families drawn from the subset pool."""
     pool, note = ctx.subset_pool()
-    pool = list(pool)
     rng = random.Random(ctx.b.seed + 6)
-    for _ in range(ctx.b.family_samples):
-        size = rng.randint(3, ctx.b.max_family)
-        fam = tuple(rng.choice(pool) for _ in range(size))
+    for fam in _families(rng, list(pool), ctx.b.family_samples):
         if not law(fam):
             return FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note
-    return PASS, None, _join_notes(note, f"families up to size {ctx.b.max_family} sampled")
+    return PASS, None, _join_notes(note, f"families up to size {_MAX_FAMILY} sampled")
+
+
+def _families(rng, pool, count):
+    """`count` families of 3.._MAX_FAMILY members drawn from pool by rng."""
+    for _ in range(count):
+        size = rng.randint(3, _MAX_FAMILY)
+        yield tuple(rng.choice(pool) for _ in range(size))
 
 
 def _orthogonal_sets(ctx, max_size):
@@ -795,11 +787,8 @@ def check_homomorphism(qm, budgets=None, instance=None):
     instance = instance or repr(qm)
     ctx = _Ctx(qm, budgets, instance)
     start = perf_counter()
-    zd = ctx.zd_failure()
-    if zd is not None:
-        raise NotZeroDistributive(
-            f"factor {zd[0]} is not 0-distributive (witness {zd[1]})",
-            factor=zd[0])
+    if ctx.zd_defect is not None:
+        raise ctx.zd_defect
     subs = ctx.subs
     if subs is None:
         return TheoremReport("homomorphism", BUDGET, instance, None,
@@ -816,9 +805,7 @@ def check_homomorphism(qm, budgets=None, instance=None):
                 return finish(HYP, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)),
                               "intersection hypothesis fails; homomorphism not claimed")
     rng = random.Random(budgets.seed + 7)
-    for _ in range(budgets.family_samples):
-        size = rng.randint(3, budgets.max_family)
-        fam = tuple(rng.choice(nodes) for _ in range(size))
+    for fam in _families(rng, nodes, budgets.family_samples):
         if ctx.dd_of(_intersect(fam)) != _intersect(ctx.dd_of(x) for x in fam):
             return finish(HYP, ctx.doc(family=[ctx.labels(x) for x in fam]),
                           "intersection hypothesis fails on a family; "
@@ -836,9 +823,7 @@ def check_homomorphism(qm, budgets=None, instance=None):
                 return finish(FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note)
     if ctx.dd_of(ctx.zmask) != ctx.zmask or ctx.dd_of(qm.full_mask) != qm.full_mask:
         return finish(FAIL, ctx.doc(), note)
-    for _ in range(budgets.family_samples):
-        size = rng.randint(3, budgets.max_family)
-        fam = tuple(rng.choice(nodes) for _ in range(size))
+    for fam in _families(rng, nodes, budgets.family_samples):
         joined = ctx.dd_of(_union(ctx.dd_of(x) for x in fam))
         if ctx.dd_of(ctx.close_of(_union(fam))) != joined:
             return finish(FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note)

@@ -1,11 +1,10 @@
 """Seeded counterexample search over small bounded lattices.
 
-Lattices are enumerated exhaustively up to 7 elements through naturally
-labeled order relations: fix a linear extension, force element 0 as bottom
-and element n-1 as top, and range over all order bits between middle
-elements. Every isomorphism class of bounded lattices on n elements appears
-this way. Beyond the exhaustive range, seeded random cover relations are
-sampled.
+Lattices are enumerated exhaustively, up to MAX_LATTICE_SIZE = 7 elements,
+through naturally labeled order relations: fix a linear extension, force
+element 0 as bottom and element n-1 as top, and range over all order bits
+between middle elements. Every isomorphism class of bounded lattices on n
+elements appears this way.
 
 Two claims can be dropped for hunting:
 
@@ -22,7 +21,6 @@ violation persists, and carry a replayable witness.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -50,7 +48,10 @@ from .laws import (FAIL, Budgets, TheoremReport, _parse_factor, check_all,
 
 DROPPABLE = ("0-distributive", "closed-is-splitting")
 
-_EXHAUSTIVE_LIMIT = 7
+MAX_LATTICE_SIZE = 7
+
+# product instances lattice x [0, q] are tried only up to this many vectors
+_MAX_CARRIER = 80
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,8 @@ class SearchConfig:
 
     max_lattice_size: int = 5
     max_factors: int = 2
-    max_carrier: int = 80
     seed: int = 0
     drop_hypotheses: tuple = ()
-    random_trials: int = 0
 
 
 def _exhaustive_lattices(n):
@@ -91,34 +90,9 @@ def _exhaustive_lattices(n):
             yield lat
 
 
-def _random_lattice(rng, n):
-    names = tuple(f"e{i}" for i in range(n))
-    pairs = [(names[0], names[j]) for j in range(1, n)]
-    pairs += [(names[i], names[n - 1]) for i in range(n - 1)]
-    for i in range(1, n - 1):
-        for j in range(i + 1, n - 1):
-            if rng.random() < 0.3:
-                pairs.append((names[i], names[j]))
-    try:
-        return build_lattice(names, pairs)
-    except Error:
-        return None
-
-
-def _generate_lattices(cfg, rng):
-    seen = set()
-    for n in range(1, min(cfg.max_lattice_size, _EXHAUSTIVE_LIMIT) + 1):
-        for lat in _exhaustive_lattices(n):
-            key = (lat.names, lat.up)
-            if key not in seen:
-                seen.add(key)
-                yield lat
-    for _ in range(cfg.random_trials):
-        n = rng.randint(2, cfg.max_lattice_size)
-        lat = _random_lattice(rng, n)
-        if lat is not None and (lat.names, lat.up) not in seen:
-            seen.add((lat.names, lat.up))
-            yield lat
+def _generate_lattices(cfg):
+    for n in range(1, cfg.max_lattice_size + 1):
+        yield from _exhaustive_lattices(n)
 
 
 def _factor_variants(lat, cfg):
@@ -128,7 +102,7 @@ def _factor_variants(lat, cfg):
     yield (top,), (f"principal {lat.names[lat.top]}",)
     if cfg.max_factors >= 2:
         for q in range(lat.n):
-            if lat.n * lat.down[q].bit_count() <= cfg.max_carrier:
+            if lat.n * lat.down[q].bit_count() <= _MAX_CARRIER:
                 yield ((top, principal_ideal(lat, q)),
                        (f"principal {lat.names[lat.top]}", f"principal {lat.names[q]}"))
 
@@ -215,12 +189,14 @@ def counterexample_search(cfg):
         if hyp not in _PREDICATES:
             raise ValueError(
                 f"unknown hypothesis {hyp!r}; droppable: {', '.join(DROPPABLE)}")
-    rng = random.Random(cfg.seed)
+    if cfg.max_lattice_size > MAX_LATTICE_SIZE:
+        raise ValueError(f"max_lattice_size {cfg.max_lattice_size} exceeds "
+                         f"the exhaustive range (at most {MAX_LATTICE_SIZE})")
     reports = []
     if not cfg.drop_hypotheses:
         budgets = Budgets(seed=cfg.seed, random_subsets=200, random_pairs=300,
                           family_samples=60, sampled_closures=80)
-        for lat in _generate_lattices(cfg, rng):
+        for lat in _generate_lattices(cfg):
             for factors, desc in _factor_variants(lat, cfg):
                 qm = canonical(lat, factors)
                 label = f"{lat.n}-element lattice x ({', '.join(desc)})"
@@ -228,7 +204,7 @@ def counterexample_search(cfg):
                     if rep.status == FAIL:
                         reports.append(rep)
         return reports
-    lattices = list(_generate_lattices(cfg, rng))
+    lattices = list(_generate_lattices(cfg))
     for hyp in cfg.drop_hypotheses:
         clause, predicate = _PREDICATES[hyp]
         fn = lambda lat, _p=predicate: _p(lat, cfg)

@@ -1,9 +1,12 @@
 import json
+import os
 
 import pytest
 
 from quasimodules.cli import main
 from quasimodules.lattice import builtin, format_lattice
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -183,6 +186,28 @@ def test_unknown_flag_rejected(files):
     with pytest.raises(SystemExit) as err:
         main(["qm", "subs", str(files / "ex1.qm"), "--bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--search", "--drop", "nope"], "invalid choice: 'nope'"),
+    (["qm", "bases", "builtin:n5", "--max-basis-size", "-1"], "-1 is negative"),
+    (["verify", "--search", "--max-size", "8"], "invalid choice: 8"),
+])
+def test_out_of_range_arguments_rejected(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_qm_verify_honours_budget(capsys):
+    spec = os.path.join(ROOT, "perfbench", "specs", "ex1.qm")
+    code, out = run(capsys, "qm", "verify", spec, "--budget", "5")
+    assert code == 0
+    over = [l.split()[0] for l in out.splitlines() if "budget-exceeded" in l]
+    assert over == ["lem6.i", "splitting-subset-closed", "prop-splitting-perp",
+                    "homomorphism"]
 
 
 def test_mutually_exclusive_verify_modes(capsys):

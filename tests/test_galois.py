@@ -21,6 +21,7 @@ from quasimodules import (
     is_splitting,
     perp,
     principal_ideal,
+    read_qm_file,
     splitting_subquasimodules,
     sum_set,
 )
@@ -269,10 +270,35 @@ def test_closed_join_degrades_to_tagged_set_without_zero_distributivity(m3):
 
 def test_closed_sets_equal_fixed_point_filter(ex1_qm, m3_qm):
     # brute force: the double-companion fixed points over all carrier subsets
-    for qm in (ex1_qm, m3_qm):
+    for qm in (ex1_qm, m3_qm, qm_from("chain_4", ["*", "*"])):
         brute = {m for m in range(1 << qm.size)
                  if perp(qm, perp(qm, m)) == m}
         assert closed_sets(qm) == brute
+
+
+SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench", "specs")
+
+
+@pytest.mark.parametrize("spec", sorted(os.listdir(SPECS)))
+def test_closed_sets_match_saturation(spec):
+    # oracle: saturate the principal companions under pairwise intersection,
+    # round by round, until no new set appears
+    qm = read_qm_file(os.path.join(SPECS, spec))
+    base = {qm.full_mask} | {principal_perp(qm, p) for p in range(qm.size)}
+    nodes = set(base)
+    frontier = sorted(base)
+    while frontier:
+        fresh = []
+        snapshot = sorted(nodes)
+        for a in frontier:
+            for b in snapshot:
+                c = a & b
+                if c not in nodes:
+                    nodes.add(c)
+                    fresh.append(c)
+        frontier = sorted(fresh)
+    assert closed_sets(qm) == nodes
 
 
 # -- slab-shift paths against per-element definitions ------------------------------

@@ -22,6 +22,7 @@ from quasimodules.errors import (
     ParseError,
     UnknownBuiltin,
 )
+from quasimodules.verify.search import _exhaustive_lattices
 
 
 def test_n5_structure(n5):
@@ -178,3 +179,18 @@ def test_fig5_covers(fig5):
     got = {(fig5.names[i], fig5.names[j]) for i, j in fig5.covers()}
     assert got == {("0", "a"), ("0", "b"), ("a", "c"), ("c", "d"),
                    ("b", "d"), ("d", "1")}
+
+
+def test_covers_match_definition():
+    # j covers i iff i < j with no element strictly between them (cubic scan)
+    def definition(lat):
+        return [(i, j) for i in range(lat.n) for j in range(lat.n)
+                if i != j and lat.le(i, j)
+                and not any(k not in (i, j) and lat.le(i, k) and lat.le(k, j)
+                            for k in range(lat.n))]
+
+    lattices = [builtin(name) for name in
+                ("n5", "m3", "fig5", "chain_5", "boolean_3", "boolean_4")]
+    lattices += [lat for n in range(1, 7) for lat in _exhaustive_lattices(n)]
+    for lat in lattices:
+        assert lat.covers() == definition(lat)

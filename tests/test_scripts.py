@@ -26,3 +26,20 @@ def test_script_runs(name, code, line):
     proc = run_script(name)
     assert proc.returncode == code, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=("plain", "optimized"))
+def test_hunt_fails_when_a_finding_does_not_replay(flags):
+    # replay_witness is stubbed to reject every finding; the script must say
+    # so and exit 1, also under -O, where an assert would be compiled out
+    script = os.path.join(ROOT, "scripts", "hunt_counterexamples.py")
+    program = ("import runpy, sys, quasimodules\n"
+               "quasimodules.replay_witness = lambda finding: False\n"
+               f"sys.argv = [{script!r}, '--max-size', '5', '--drop', '0-distributive']\n"
+               f"runpy.run_path({script!r}, run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, *flags, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "does not replay" in proc.stderr
+    assert "all replayed" not in proc.stdout

@@ -8,6 +8,7 @@ from quasimodules import (
     SubQMLattice,
     all_subquasimodules,
     canonical,
+    closed_subquasimodules,
     find_bases,
     generate,
     is_basis,
@@ -228,6 +229,29 @@ def test_all_subquasimodules_chain3_cubed():
     assert len(nodes) == 29_881
     for mask in nodes[::97]:
         assert close_mask(qm, mask) == mask
+
+
+@pytest.mark.parametrize("lattice_name, factor_gens", [
+    ("n5", ["*", "a"]),        # ex1
+    ("chain_4", ["*", "*"]),
+    ("n5", ["*", "*"]),
+    ("m3", ["*", "a"]),        # not 0-distributive: no closed lattice
+])
+def test_subqm_covers_match_definition(lattice_name, factor_gens):
+    # j covers i iff node i is strictly inside node j with no node between
+    def definition(lat):
+        n = len(lat)
+        return [(i, j) for i in range(n) for j in range(n)
+                if i != j and lat.leq(i, j)
+                and not any(k not in (i, j) and lat.leq(i, k) and lat.leq(k, j)
+                            for k in range(n))]
+
+    qm = qm_from(lattice_name, factor_gens)
+    lattices = [all_subquasimodules(qm)]
+    if lattice_name != "m3":
+        lattices.append(closed_subquasimodules(qm).base)
+    for lat in lattices:
+        assert lat.covers() == definition(lat)
 
 
 def test_close_mask_base_matches_full_closure(ex1_qm):

@@ -12,6 +12,7 @@ from quasimodules import (
     reproduce_reference,
     replay_witness,
 )
+from quasimodules import galois
 from quasimodules.errors import NotZeroDistributive, UnknownInstance
 from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConfig
 from quasimodules.verify.instances import is_boolean_shape
@@ -41,6 +42,21 @@ def test_check_all_hypothesis_not_met_on_m3(m3_qm):
                    "lem6.ii", "separation", "splitting-subset-closed",
                    "prop-splitting-product"):
         assert reports[clause].status == PASS
+
+
+def test_zero_distributivity_tested_once_per_context(m3_qm, monkeypatch):
+    calls = []
+    real = galois.factor_zero_distributivity
+    monkeypatch.setattr(galois, "factor_zero_distributivity",
+                        lambda qm: calls.append(qm) or real(qm))
+    reports = check_all(m3_qm)
+    assert len(calls) == 1
+    # every hypothesis-guarded clause carries the same message
+    notes = {r.note.split(";")[0] for r in reports if r.status == HYP}
+    assert notes == {"factor 0 is not 0-distributive (witness ('a', 'b', 'c'))"}
+    with pytest.raises(NotZeroDistributive) as err:
+        check_homomorphism(m3_qm)
+    assert str(err.value) in notes and err.value.factor == 0
 
 
 def test_check_all_trivial_instance(n5):
@@ -145,6 +161,11 @@ def test_search_soundness_run_is_quiet():
 def test_search_rejects_unknown_drop():
     with pytest.raises(ValueError):
         counterexample_search(SearchConfig(drop_hypotheses=("nope",)))
+
+
+def test_search_rejects_size_beyond_exhaustive_range():
+    with pytest.raises(ValueError):
+        counterexample_search(SearchConfig(max_lattice_size=8))
 
 
 def test_fail_reports_replay_through_library(m3):
