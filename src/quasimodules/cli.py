@@ -88,7 +88,7 @@ def _build_parser():
     p_ver.add_argument("--search", action="store_true")
     p_ver.add_argument("--max-size", type=int, default=5,
                        choices=range(1, MAX_LATTICE_SIZE + 1))
-    p_ver.add_argument("--max-factors", type=int, default=2)
+    p_ver.add_argument("--max-factors", type=int, default=2, choices=(1, 2))
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--drop", action="append", default=[], choices=DROPPABLE,
                        help="claim to drop while searching")

@@ -92,6 +92,7 @@ class _Ctx:
         self.full = qm.full_mask
         self.zmask = 1 << qm.zero
         self._perptab = None
+        self._step_verdicts = {}
         self._perp_cache = {}
         self._close_cache = {}
         self._subqm_cache = {}
@@ -174,6 +175,19 @@ class _Ctx:
             cached = perp(self.qm, mask)
             self._perp_cache[mask] = cached
         return cached
+
+    def steps_hold(self, check):
+        """True when pairs are exhaustive and the covering-step `check` passes
+        on the companion table; False sends a clause to its pair scan."""
+        if self.m > _EXHAUSTIVE_PAIR_BITS:
+            return False
+        verdict = self._step_verdicts.get(check)
+        if verdict is None:
+            if self._perptab is None:
+                self._build_perptab()
+            verdict = check(self._perptab, self.m, self.full)
+            self._step_verdicts[check] = verdict
+        return verdict
 
     def dd_of(self, mask):
         return self.perp_of(self.perp_of(mask))
@@ -278,6 +292,53 @@ def _parse_factor(lattice, desc):
 
 
 # --------------------------------------------------------------------------
+# covering-step checks
+#
+# Each decides one pair clause over all 4^m pairs of subsets from the
+# companion table `tab` (indexed by subset mask, values inside `full`) by
+# looking only at the m * 2^(m-1) covering steps a -> b = a | {p} (Ore,
+# "Galois connexions", 1944). A pass is exact; on a failure the clause
+# reruns its ordered pair scan for the witness.
+
+def _covering_steps(m):
+    """Every (a, b) of subset masks below 2^m where b is a plus one position."""
+    for b in range(1, 1 << m):
+        rest = b
+        while rest:
+            low = rest & -rest
+            yield b ^ low, b
+            rest ^= low
+
+
+def steps_antitone(tab, m, full):
+    """rem1.ii: a <= b gives perp(b) <= perp(a) iff every step shrinks perp."""
+    return all(not tab[b] & ~tab[a] for a, b in _covering_steps(m))
+
+
+def steps_dd_monotone(tab, m, full):
+    """lem4.ii: dd(a & b) <= dd(a) & dd(b) for all pairs iff dd is monotone,
+    iff every step grows dd."""
+    return all(not tab[tab[a]] & ~tab[tab[b]] for a, b in _covering_steps(m))
+
+
+def steps_meet(tab, m, full):
+    """lem4.i: perp(a) & perp(b) == perp(a | b) for all pairs iff every step
+    has perp(a | {p}) == perp(a) & perp({p}); the steps from the empty set
+    give perp({p}) <= perp(0)."""
+    return all(tab[b] == tab[a] & tab[a ^ b] for a, b in _covering_steps(m))
+
+
+def steps_symmetric(tab, m, full):
+    """rem1.iv, on a table that passes `steps_meet`: a <= perp(b) iff
+    b <= perp(a) for all pairs iff perp(0) is the whole carrier (the pairs
+    (a, 0)) and the singleton relation p in perp({q}) is symmetric."""
+    if full & ~tab[0]:
+        return False
+    return all(tab[1 << p] >> q & 1 == tab[1 << q] >> p & 1
+               for p in range(m) for q in range(p + 1, m))
+
+
+# --------------------------------------------------------------------------
 # clause checks
 #
 # Each returns (status, witness, note). Clause ids are stable strings used in
@@ -300,6 +361,8 @@ def _c_rem1_i(ctx):
 
 
 def _c_rem1_ii(ctx):
+    if ctx.steps_hold(steps_antitone):
+        return PASS, None, None
     pairs, note = ctx.pair_pool()
     for a, b in pairs:
         if a & ~b == 0 and ctx.perp_of(b) & ~ctx.perp_of(a):
@@ -317,6 +380,8 @@ def _c_rem1_iii(ctx):
 
 
 def _c_rem1_iv(ctx):
+    if ctx.steps_hold(steps_meet) and ctx.steps_hold(steps_symmetric):
+        return PASS, None, None
     pairs, note = ctx.pair_pool()
     for a, b in pairs:
         if (a & ~ctx.perp_of(b) == 0) != (b & ~ctx.perp_of(a) == 0):
@@ -325,10 +390,12 @@ def _c_rem1_iv(ctx):
 
 
 def _c_lem4_i(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
-        if ctx.perp_of(a) & ctx.perp_of(b) != ctx.perp_of(a | b):
-            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
+    note = None
+    if not ctx.steps_hold(steps_meet):
+        pairs, note = ctx.pair_pool()
+        for a, b in pairs:
+            if ctx.perp_of(a) & ctx.perp_of(b) != ctx.perp_of(a | b):
+                return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
     status, witness, fnote = _family_check(
         ctx, lambda fam: _intersect(ctx.perp_of(x) for x in fam) == ctx.perp_of(_union(fam)))
     if status != PASS:
@@ -337,10 +404,12 @@ def _c_lem4_i(ctx):
 
 
 def _c_lem4_ii(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
-        if ctx.dd_of(a & b) & ~(ctx.dd_of(a) & ctx.dd_of(b)):
-            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
+    note = None
+    if not ctx.steps_hold(steps_dd_monotone):
+        pairs, note = ctx.pair_pool()
+        for a, b in pairs:
+            if ctx.dd_of(a & b) & ~(ctx.dd_of(a) & ctx.dd_of(b)):
+                return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
     status, witness, fnote = _family_check(
         ctx, lambda fam: ctx.dd_of(_intersect(fam))
         & ~_intersect(ctx.dd_of(x) for x in fam) == 0)
@@ -686,22 +755,23 @@ def _families(rng, pool, count):
 
 
 def _orthogonal_sets(ctx, max_size):
+    """Pairwise orthogonal position tuples of 1..max_size members, ascending,
+    in depth-first order. Uses an explicit stack: a recursive closure over
+    the context is a reference cycle that keeps the context (and its 2^m
+    table) alive until the cycle collector runs."""
     qm = ctx.qm
     out = []
     pairs_ok = [[qm.orthogonal(p, q) for q in range(ctx.m)] for p in range(ctx.m)]
-
-    def rec(start, cur):
+    stack = [(0, ())]
+    while stack:
+        start, cur = stack.pop()
         if cur:
-            out.append(tuple(cur))
+            out.append(cur)
         if len(cur) == max_size:
-            return
-        for p in range(start, ctx.m):
+            continue
+        for p in reversed(range(start, ctx.m)):
             if all(pairs_ok[p][q] for q in cur):
-                cur.append(p)
-                rec(p + 1, cur)
-                cur.pop()
-
-    rec(0, [])
+                stack.append((p + 1, cur + (p,)))
     return out
 
 

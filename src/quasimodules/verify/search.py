@@ -56,12 +56,25 @@ _MAX_CARRIER = 80
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search budgets; runs with equal configs are bit-reproducible."""
+    """Search budgets, checked on construction; runs with equal configs are
+    bit-reproducible."""
 
     max_lattice_size: int = 5
     max_factors: int = 2
     seed: int = 0
     drop_hypotheses: tuple = ()
+
+    def __post_init__(self):
+        for hyp in self.drop_hypotheses:
+            if hyp not in DROPPABLE:
+                raise ValueError(
+                    f"unknown hypothesis {hyp!r}; droppable: {', '.join(DROPPABLE)}")
+        if self.max_lattice_size > MAX_LATTICE_SIZE:
+            raise ValueError(f"max_lattice_size {self.max_lattice_size} exceeds "
+                             f"the exhaustive range (at most {MAX_LATTICE_SIZE})")
+        if self.max_factors not in (1, 2):
+            raise ValueError(f"max_factors {self.max_factors} is not 1 or 2 "
+                             f"(instances have one or two factors)")
 
 
 def _exhaustive_lattices(n):
@@ -185,13 +198,6 @@ _PREDICATES = {
 
 def counterexample_search(cfg):
     """Hunt violations per the search config; empty result means none found."""
-    for hyp in cfg.drop_hypotheses:
-        if hyp not in _PREDICATES:
-            raise ValueError(
-                f"unknown hypothesis {hyp!r}; droppable: {', '.join(DROPPABLE)}")
-    if cfg.max_lattice_size > MAX_LATTICE_SIZE:
-        raise ValueError(f"max_lattice_size {cfg.max_lattice_size} exceeds "
-                         f"the exhaustive range (at most {MAX_LATTICE_SIZE})")
     reports = []
     if not cfg.drop_hypotheses:
         budgets = Budgets(seed=cfg.seed, random_subsets=200, random_pairs=300,

@@ -192,6 +192,8 @@ def test_unknown_flag_rejected(files):
     (["verify", "--search", "--drop", "nope"], "invalid choice: 'nope'"),
     (["qm", "bases", "builtin:n5", "--max-basis-size", "-1"], "-1 is negative"),
     (["verify", "--search", "--max-size", "8"], "invalid choice: 8"),
+    (["verify", "--search", "--max-factors", "3"], "invalid choice: 3"),
+    (["verify", "--search", "--max-factors", "0"], "invalid choice: 0"),
 ])
 def test_out_of_range_arguments_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
