@@ -11,11 +11,13 @@ import json
 import sys
 
 from quasimodules import SearchConfig, counterexample_search, replay_witness
+from quasimodules.verify import MAX_LATTICE_SIZE
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-size", type=int, default=6)
+    parser.add_argument("--max-size", type=int, default=6,
+                        choices=range(1, MAX_LATTICE_SIZE + 1))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--drop", action="append", default=None,
                         choices=("0-distributive", "closed-is-splitting"))

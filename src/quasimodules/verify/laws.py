@@ -4,8 +4,9 @@ Clauses whose hypotheses the instance does not meet (for example
 0-distributive factors) report `hypothesis-not-met`, never failure.
 Quantifiers follow explicit budgets: subset-quantified clauses are
 exhaustive up to a carrier-size threshold and sampled (all subquasimodules
-plus seeded random subsets) beyond it, with any restriction stamped into
-the report note.
+plus seeded random subsets) beyond it. Pair-quantified clauses scan the
+covering pairs, which decide them exactly, up to a smaller threshold and
+sampled pairs beyond it. Any restriction is stamped into the report note.
 """
 
 from __future__ import annotations
@@ -91,9 +92,7 @@ class _Ctx:
         self.m = qm.size
         self.full = qm.full_mask
         self.zmask = 1 << qm.zero
-        self._perptab = None
-        self._step_verdicts = {}
-        self._perp_cache = {}
+        self.perp = _companion_table(qm)
         self._close_cache = {}
         self._subqm_cache = {}
         self.zd_defect = zero_distributivity_defect(qm)
@@ -156,41 +155,8 @@ class _Ctx:
 
     # -- companion machinery ---------------------------------------------------
 
-    def _build_perptab(self):
-        singles = [principal_perp(self.qm, p) for p in range(self.m)]
-        tab = [0] * (1 << self.m)
-        tab[0] = self.full
-        for mask in range(1, 1 << self.m):
-            low = mask & -mask
-            tab[mask] = tab[mask ^ low] & singles[low.bit_length() - 1]
-        self._perptab = tab
-
-    def perp_of(self, mask):
-        if self.m <= _EXHAUSTIVE_SUBSET_BITS:
-            if self._perptab is None:
-                self._build_perptab()
-            return self._perptab[mask]
-        cached = self._perp_cache.get(mask)
-        if cached is None:
-            cached = perp(self.qm, mask)
-            self._perp_cache[mask] = cached
-        return cached
-
-    def steps_hold(self, check):
-        """True when pairs are exhaustive and the covering-step `check` passes
-        on the companion table; False sends a clause to its pair scan."""
-        if self.m > _EXHAUSTIVE_PAIR_BITS:
-            return False
-        verdict = self._step_verdicts.get(check)
-        if verdict is None:
-            if self._perptab is None:
-                self._build_perptab()
-            verdict = check(self._perptab, self.m, self.full)
-            self._step_verdicts[check] = verdict
-        return verdict
-
     def dd_of(self, mask):
-        return self.perp_of(self.perp_of(mask))
+        return self.perp[self.perp[mask]]
 
     def close_of(self, mask):
         cached = self._close_cache.get(mask)
@@ -217,10 +183,11 @@ class _Ctx:
         return self.sampled_pool(self.b.random_subsets, 2), note
 
     def pair_pool(self):
-        """(pairs, note) quantifying 'for all pairs of subsets' clauses."""
+        """(pairs, note) quantifying 'for all pairs of subsets' clauses: the
+        covering pairs up to _EXHAUSTIVE_PAIR_BITS positions, sampled pairs
+        beyond."""
         if self.m <= _EXHAUSTIVE_PAIR_BITS:
-            n = 1 << self.m
-            return ((a, b) for a in range(n) for b in range(n)), None
+            return covering_pairs(self.perp, self.m), None
         base, _ = self.subset_pool()
         base = list(base)
         nodes = list(self.subs.nodes) if self.subs is not None else []
@@ -292,50 +259,58 @@ def _parse_factor(lattice, desc):
 
 
 # --------------------------------------------------------------------------
-# covering-step checks
-#
-# Each decides one pair clause over all 4^m pairs of subsets from the
-# companion table `tab` (indexed by subset mask, values inside `full`) by
-# looking only at the m * 2^(m-1) covering steps a -> b = a | {p} (Ore,
-# "Galois connexions", 1944). A pass is exact; on a failure the clause
-# reruns its ordered pair scan for the witness.
+# companion table and covering pairs
 
-def _covering_steps(m):
-    """Every (a, b) of subset masks below 2^m where b is a plus one position."""
+class _PerpCache(dict):
+    """perp(qm, mask) by mask, computed on first lookup."""
+
+    def __init__(self, qm):
+        super().__init__()
+        self.qm = qm
+
+    def __missing__(self, mask):
+        value = self[mask] = perp(self.qm, mask)
+        return value
+
+
+def _companion_table(qm):
+    """perp(qm, mask) indexed by mask: a 2^m list built from the singleton
+    companions up to _EXHAUSTIVE_SUBSET_BITS positions, a `_PerpCache`
+    beyond that."""
+    m = qm.size
+    if m > _EXHAUSTIVE_SUBSET_BITS:
+        return _PerpCache(qm)
+    singles = [principal_perp(qm, p) for p in range(m)]
+    tab = [0] * (1 << m)
+    tab[0] = qm.full_mask
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        tab[mask] = tab[mask ^ low] & singles[low.bit_length() - 1]
+    return tab
+
+
+def covering_pairs(tab, m):
+    """Pairs of subset masks below 2^m on which each pair clause holds iff it
+    holds on all 4^m pairs, for any companion table `tab` (Ore, "Galois
+    connexions", 1944): for every covering step a -> b = a | {p}, the pairs
+    (a, b), (a, {p}) and (a, perp(b)); then (perp(a), a) for every a.
+
+    rem1.ii needs perp antitone and lem4.ii dd monotone, both decided on the
+    steps (a, b); lem4.i needs perp(a | {p}) == perp(a) & perp({p}), the
+    pairs (a, {p}); rem1.iv needs perp antitone and a <= dd(a), which the
+    pairs (a, perp(b)) and (perp(a), a) give.
+    """
     for b in range(1, 1 << m):
         rest = b
         while rest:
             low = rest & -rest
-            yield b ^ low, b
+            a = b ^ low
+            yield a, b
+            yield a, low
+            yield a, tab[b]
             rest ^= low
-
-
-def steps_antitone(tab, m, full):
-    """rem1.ii: a <= b gives perp(b) <= perp(a) iff every step shrinks perp."""
-    return all(not tab[b] & ~tab[a] for a, b in _covering_steps(m))
-
-
-def steps_dd_monotone(tab, m, full):
-    """lem4.ii: dd(a & b) <= dd(a) & dd(b) for all pairs iff dd is monotone,
-    iff every step grows dd."""
-    return all(not tab[tab[a]] & ~tab[tab[b]] for a, b in _covering_steps(m))
-
-
-def steps_meet(tab, m, full):
-    """lem4.i: perp(a) & perp(b) == perp(a | b) for all pairs iff every step
-    has perp(a | {p}) == perp(a) & perp({p}); the steps from the empty set
-    give perp({p}) <= perp(0)."""
-    return all(tab[b] == tab[a] & tab[a ^ b] for a, b in _covering_steps(m))
-
-
-def steps_symmetric(tab, m, full):
-    """rem1.iv, on a table that passes `steps_meet`: a <= perp(b) iff
-    b <= perp(a) for all pairs iff perp(0) is the whole carrier (the pairs
-    (a, 0)) and the singleton relation p in perp({q}) is symmetric."""
-    if full & ~tab[0]:
-        return False
-    return all(tab[1 << p] >> q & 1 == tab[1 << q] >> p & 1
-               for p in range(m) for q in range(p + 1, m))
+    for a in range(1 << m):
+        yield tab[a], a
 
 
 # --------------------------------------------------------------------------
@@ -361,11 +336,9 @@ def _c_rem1_i(ctx):
 
 
 def _c_rem1_ii(ctx):
-    if ctx.steps_hold(steps_antitone):
-        return PASS, None, None
     pairs, note = ctx.pair_pool()
     for a, b in pairs:
-        if a & ~b == 0 and ctx.perp_of(b) & ~ctx.perp_of(a):
+        if a & ~b == 0 and ctx.perp[b] & ~ctx.perp[a]:
             return FAIL, ctx.doc(smaller=ctx.labels(a), larger=ctx.labels(b)), note
     return PASS, None, note
 
@@ -373,43 +346,37 @@ def _c_rem1_ii(ctx):
 def _c_rem1_iii(ctx):
     pool, note = ctx.subset_pool()
     for a in pool:
-        pa = ctx.perp_of(a)
-        if ctx.perp_of(ctx.perp_of(pa)) != pa:
+        pa = ctx.perp[a]
+        if ctx.perp[ctx.perp[pa]] != pa:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
     return PASS, None, note
 
 
 def _c_rem1_iv(ctx):
-    if ctx.steps_hold(steps_meet) and ctx.steps_hold(steps_symmetric):
-        return PASS, None, None
     pairs, note = ctx.pair_pool()
     for a, b in pairs:
-        if (a & ~ctx.perp_of(b) == 0) != (b & ~ctx.perp_of(a) == 0):
+        if (a & ~ctx.perp[b] == 0) != (b & ~ctx.perp[a] == 0):
             return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
     return PASS, None, note
 
 
 def _c_lem4_i(ctx):
-    note = None
-    if not ctx.steps_hold(steps_meet):
-        pairs, note = ctx.pair_pool()
-        for a, b in pairs:
-            if ctx.perp_of(a) & ctx.perp_of(b) != ctx.perp_of(a | b):
-                return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
+    pairs, note = ctx.pair_pool()
+    for a, b in pairs:
+        if ctx.perp[a] & ctx.perp[b] != ctx.perp[a | b]:
+            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
     status, witness, fnote = _family_check(
-        ctx, lambda fam: _intersect(ctx.perp_of(x) for x in fam) == ctx.perp_of(_union(fam)))
+        ctx, lambda fam: _intersect(ctx.perp[x] for x in fam) == ctx.perp[_union(fam)])
     if status != PASS:
         return status, witness, _join_notes(note, fnote)
     return PASS, None, note
 
 
 def _c_lem4_ii(ctx):
-    note = None
-    if not ctx.steps_hold(steps_dd_monotone):
-        pairs, note = ctx.pair_pool()
-        for a, b in pairs:
-            if ctx.dd_of(a & b) & ~(ctx.dd_of(a) & ctx.dd_of(b)):
-                return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
+    pairs, note = ctx.pair_pool()
+    for a, b in pairs:
+        if ctx.dd_of(a & b) & ~(ctx.dd_of(a) & ctx.dd_of(b)):
+            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
     status, witness, fnote = _family_check(
         ctx, lambda fam: ctx.dd_of(_intersect(fam))
         & ~_intersect(ctx.dd_of(x) for x in fam) == 0)
@@ -419,8 +386,8 @@ def _c_lem4_ii(ctx):
 
 
 def _c_lem4_iii(ctx):
-    if ctx.perp_of(ctx.full) != ctx.zmask:
-        return FAIL, ctx.doc(companion=ctx.labels(ctx.perp_of(ctx.full))), None
+    if ctx.perp[ctx.full] != ctx.zmask:
+        return FAIL, ctx.doc(companion=ctx.labels(ctx.perp[ctx.full])), None
     return PASS, None, None
 
 
@@ -432,7 +399,7 @@ def _c_lem4_iv(ctx):
     for a in pool:
         if a == 0:
             continue
-        inter = a & ctx.perp_of(a)
+        inter = a & ctx.perp[a]
         if inter & ~ctx.zmask:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
         if a & ctx.zmask and inter != ctx.zmask:
@@ -441,8 +408,8 @@ def _c_lem4_iv(ctx):
 
 
 def _c_lem4_v(ctx):
-    if ctx.perp_of(ctx.zmask) != ctx.full:
-        return FAIL, ctx.doc(companion=ctx.labels(ctx.perp_of(ctx.zmask))), None
+    if ctx.perp[ctx.zmask] != ctx.full:
+        return FAIL, ctx.doc(companion=ctx.labels(ctx.perp[ctx.zmask])), None
     return PASS, None, None
 
 
@@ -462,15 +429,15 @@ def _c_prop2(ctx):
     if ctx.zd_defect is not None:
         hyp_note = str(ctx.zd_defect)
         for a in pool:
-            ok, witness = ctx.subqm_of(ctx.perp_of(a))
+            ok, witness = ctx.subqm_of(ctx.perp[a])
             if not ok:
                 return HYP, ctx.doc(
                     subset=ctx.labels(a),
-                    companion=ctx.labels(ctx.perp_of(a)),
+                    companion=ctx.labels(ctx.perp[a]),
                     violation=violation_labels(ctx.qm, witness)), hyp_note
         return HYP, None, hyp_note + "; no companion-closure violation in the pool"
     for a in pool:
-        ok, witness = ctx.subqm_of(ctx.perp_of(a))
+        ok, witness = ctx.subqm_of(ctx.perp[a])
         if not ok:
             return FAIL, ctx.doc(subset=ctx.labels(a),
                                  violation=violation_labels(ctx.qm, witness)), note
@@ -492,7 +459,7 @@ def _c_th2_i(ctx):
     pool, note = ctx.subset_pool()
     seen = set()
     for a in pool:
-        pa = ctx.perp_of(a)
+        pa = ctx.perp[a]
         seen.add(pa)
         if pa not in nodes:
             return FAIL, ctx.doc(subset=ctx.labels(a), companion=ctx.labels(pa)), note
@@ -538,14 +505,14 @@ def _c_th2_iv(ctx):
     closed = ctx.closed
     nodes = closed.nodes
     for i, a in enumerate(nodes):
-        pa = ctx.perp_of(a)
-        if pa not in closed.base.index or ctx.perp_of(pa) != a:
+        pa = ctx.perp[a]
+        if pa not in closed.base.index or ctx.perp[pa] != a:
             return FAIL, ctx.doc(node=ctx.labels(a)), None
         if closed.perp_map[i] != closed.base.index[pa]:
             return FAIL, ctx.doc(node=ctx.labels(a)), None
     for a in nodes:
         for b in nodes:
-            if a & ~b == 0 and ctx.perp_of(b) & ~ctx.perp_of(a):
+            if a & ~b == 0 and ctx.perp[b] & ~ctx.perp[a]:
                 return FAIL, ctx.doc(smaller=ctx.labels(a), larger=ctx.labels(b)), None
     return PASS, None, None
 
@@ -569,7 +536,7 @@ def _c_th2_vi(ctx):
     pool = ctx.sampled_pool(ctx.b.sampled_closures, 4)
     note = f"sampled over {len(pool)} subsets"
     for a in pool:
-        if ctx.perp_of(a) != ctx.perp_of(ctx.close_of(a)):
+        if ctx.perp[a] != ctx.perp[ctx.close_of(a)]:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
     return PASS, None, note
 
@@ -584,7 +551,7 @@ def _c_th2_vii(ctx):
             for bsub in combinations(cset, r):
                 bmask = mask_of(bsub)
                 left = ctx.close_of(cmask & ~bmask)
-                if left & ~ctx.perp_of(ctx.close_of(bmask)):
+                if left & ~ctx.perp[ctx.close_of(bmask)]:
                     return FAIL, ctx.doc(orthogonal=ctx.labels(cmask),
                                          removed=ctx.labels(bmask)), note
     return PASS, None, note
@@ -636,13 +603,13 @@ def _c_lem1(ctx):
         for a in pool:
             expect = product_mask(qm, [factor_perp_elements(i, proj[i][a])
                                        for i in range(k)])
-            if ctx.perp_of(a) != expect:
+            if ctx.perp[a] != expect:
                 return FAIL, ctx.doc(subset=ctx.labels(a)), note
         return PASS, None, note
     for a in pool:
         expect = product_mask(qm, [factor_perp_elements(i, qm.project(a, i))
                                    for i in range(k)])
-        if ctx.perp_of(a) != expect:
+        if ctx.perp[a] != expect:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
     return PASS, None, note
 
@@ -691,7 +658,7 @@ def _c_splitting_perp(ctx):
         return BUDGET, None, ctx._subs_note
     qm = ctx.qm
     for mask in masks:
-        companion = ctx.perp_of(mask)
+        companion = ctx.perp[mask]
         ok, _ = ctx.subqm_of(companion)
         if not ok or not is_splitting(qm, SubQM(qm, companion)):
             return FAIL, ctx.doc(splitting=ctx.labels(mask),
@@ -884,8 +851,8 @@ def check_homomorphism(qm, budgets=None, instance=None):
     note = (f"hypothesis holds over {len(nodes)}^2 pairs and "
             f"{budgets.family_samples} seeded families")
     for a in nodes:
-        pa = ctx.perp_of(a)
-        if ctx.dd_of(pa) != ctx.perp_of(ctx.dd_of(a)):
+        pa = ctx.perp[a]
+        if ctx.dd_of(pa) != ctx.perp[ctx.dd_of(a)]:
             return finish(FAIL, ctx.doc(node=ctx.labels(a)), note)
         for b in nodes:
             join = ctx.close_of(a | b)

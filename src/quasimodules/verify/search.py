@@ -69,9 +69,9 @@ class SearchConfig:
             if hyp not in DROPPABLE:
                 raise ValueError(
                     f"unknown hypothesis {hyp!r}; droppable: {', '.join(DROPPABLE)}")
-        if self.max_lattice_size > MAX_LATTICE_SIZE:
-            raise ValueError(f"max_lattice_size {self.max_lattice_size} exceeds "
-                             f"the exhaustive range (at most {MAX_LATTICE_SIZE})")
+        if not 1 <= self.max_lattice_size <= MAX_LATTICE_SIZE:
+            raise ValueError(f"max_lattice_size {self.max_lattice_size} is outside "
+                             f"the exhaustive range 1..{MAX_LATTICE_SIZE}")
         if self.max_factors not in (1, 2):
             raise ValueError(f"max_factors {self.max_factors} is not 1 or 2 "
                              f"(instances have one or two factors)")

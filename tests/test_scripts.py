@@ -9,9 +9,9 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name)],
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -43,3 +43,13 @@ def test_hunt_fails_when_a_finding_does_not_replay(flags):
     assert proc.returncode == 1
     assert "does not replay" in proc.stderr
     assert "all replayed" not in proc.stdout
+
+
+@pytest.mark.parametrize("size", ["0", "8"])
+def test_hunt_rejects_max_size_outside_exhaustive_range(size):
+    # 0 would check nothing and report zero findings; 8 has no lattice table
+    proc = run_script("hunt_counterexamples.py", "--max-size", size, "--soundness")
+    assert proc.returncode == 2
+    assert f"invalid choice: {size}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

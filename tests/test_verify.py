@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasimodules import (
     SubQM,
@@ -20,8 +20,7 @@ from quasimodules.errors import NotZeroDistributive, UnknownInstance
 from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConfig
 from quasimodules.verify import laws
 from quasimodules.verify.instances import is_boolean_shape
-from quasimodules.verify.laws import (steps_antitone, steps_dd_monotone, steps_meet,
-                                      steps_symmetric)
+from quasimodules.verify.laws import covering_pairs
 
 from conftest import qm_from
 
@@ -186,6 +185,11 @@ def test_search_rejects_size_beyond_exhaustive_range():
         counterexample_search(SearchConfig(max_lattice_size=8))
 
 
+def test_search_config_rejects_empty_size_range():
+    with pytest.raises(ValueError, match="max_lattice_size 0"):
+        SearchConfig(max_lattice_size=0)
+
+
 @pytest.mark.parametrize("max_factors", [0, 3])
 def test_search_config_rejects_factor_counts_other_than_one_or_two(max_factors):
     with pytest.raises(ValueError, match="max_factors"):
@@ -216,31 +220,35 @@ def test_check_homomorphism_two_big_factors(fig5_qm):
         assert report.witness is not None
 
 
-# -- covering-step reductions of the pair clauses ----------------------------
+# -- the covering pool of the pair clauses -----------------------------------
 #
-# The 4^m pair scans below are the oracle: each says what its clause asks of
-# a companion table `tab` over every pair of subset masks.
+# The scans below are the oracle: each says whether its clause holds on a
+# companion table `tab` over the given pairs of subset masks, and over all
+# 4^m pairs it is the clause itself.
 
-def scan_rem1_ii(tab, m, full):
+def all_pairs(m):
     n = 1 << m
-    return all(a & ~b or not tab[b] & ~tab[a] for a in range(n) for b in range(n))
+    return [(a, b) for a in range(n) for b in range(n)]
 
 
-def scan_rem1_iv(tab, m, full):
-    n = 1 << m
-    return all((a & ~tab[b] == 0) == (b & ~tab[a] == 0)
-               for a in range(n) for b in range(n))
+def scan_rem1_ii(tab, pairs):
+    return all(a & ~b or not tab[b] & ~tab[a] for a, b in pairs)
 
 
-def scan_lem4_i(tab, m, full):
-    n = 1 << m
-    return all(tab[a] & tab[b] == tab[a | b] for a in range(n) for b in range(n))
+def scan_rem1_iv(tab, pairs):
+    return all((a & ~tab[b] == 0) == (b & ~tab[a] == 0) for a, b in pairs)
 
 
-def scan_lem4_ii(tab, m, full):
-    n = 1 << m
-    dd = [tab[tab[a]] for a in range(n)]
-    return all(not dd[a & b] & ~(dd[a] & dd[b]) for a in range(n) for b in range(n))
+def scan_lem4_i(tab, pairs):
+    return all(tab[a] & tab[b] == tab[a | b] for a, b in pairs)
+
+
+def scan_lem4_ii(tab, pairs):
+    return all(not tab[tab[a & b]] & ~(tab[tab[a]] & tab[tab[b]]) for a, b in pairs)
+
+
+PAIR_CLAUSES = ("rem1.ii", "rem1.iv", "lem4.i", "lem4.ii")
+SCANS = dict(zip(PAIR_CLAUSES, (scan_rem1_ii, scan_rem1_iv, scan_lem4_i, scan_lem4_ii)))
 
 
 @st.composite
@@ -270,83 +278,38 @@ def companion_tables(draw):
     return tab, m, full
 
 
+# Tables the strategy rarely draws, each decided wrongly by a pool that lacks
+# one kind of pair: without (a, {p}) lem4.i passes on the first, without
+# (perp(a), a) rem1.iv passes on the second, without (a, perp(b)) on the third.
+@example(([3, 1, 3, 0], 2, 0b11))
+@example(([7, 1, 6, 0, 2, 0, 2, 4], 3, 0b111))
+@example(([15, 8, 8, 8, 12, 8, 8, 8, 15, 8, 8, 8, 12, 0, 8, 8], 4, 0b1111))
 @given(companion_tables())
 @settings(max_examples=300, deadline=None)
 def test_covering_steps_match_pair_scans(table):
-    tab, m, full = table
-    assert steps_antitone(tab, m, full) == scan_rem1_ii(tab, m, full)
-    assert steps_dd_monotone(tab, m, full) == scan_lem4_ii(tab, m, full)
-    assert steps_meet(tab, m, full) == scan_lem4_i(tab, m, full)
-    # rem1.iv is decided by its steps only where the lem4.i steps hold
-    if steps_meet(tab, m, full):
-        assert steps_symmetric(tab, m, full) == scan_rem1_iv(tab, m, full)
+    tab, m, _ = table
+    pool = list(covering_pairs(tab, m))
+    pairs = all_pairs(m)
+    for clause, scan in SCANS.items():
+        assert scan(tab, pool) == scan(tab, pairs), clause
 
 
 def test_rem1_iv_needs_perp_of_empty_set_to_be_the_carrier():
     # {0} is orthogonal to itself, {1} to nothing: a symmetric singleton
     # relation on a meet table, but perp(0) = {0}, so the pair ({1}, 0) fails
-    tab, m, full = [0b01, 0b01, 0b00, 0b00], 2, 0b11
-    assert steps_meet(tab, m, full)
-    assert not scan_rem1_iv(tab, m, full)
-    assert not steps_symmetric(tab, m, full)
-
-
-PAIR_CLAUSES = ("rem1.ii", "rem1.iv", "lem4.i", "lem4.ii")
-
-
-def _scan_rem1_ii(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
-        if a & ~b == 0 and ctx.perp_of(b) & ~ctx.perp_of(a):
-            return FAIL, ctx.doc(smaller=ctx.labels(a), larger=ctx.labels(b)), note
-    return PASS, None, note
-
-
-def _scan_rem1_iv(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
-        if (a & ~ctx.perp_of(b) == 0) != (b & ~ctx.perp_of(a) == 0):
-            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
-    return PASS, None, note
-
-
-def _scan_lem4_i(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
-        if ctx.perp_of(a) & ctx.perp_of(b) != ctx.perp_of(a | b):
-            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
-    status, witness, fnote = laws._family_check(
-        ctx, lambda fam: laws._intersect(ctx.perp_of(x) for x in fam)
-        == ctx.perp_of(laws._union(fam)))
-    if status != PASS:
-        return status, witness, laws._join_notes(note, fnote)
-    return PASS, None, note
-
-
-def _scan_lem4_ii(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
-        if ctx.dd_of(a & b) & ~(ctx.dd_of(a) & ctx.dd_of(b)):
-            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
-    status, witness, fnote = laws._family_check(
-        ctx, lambda fam: ctx.dd_of(laws._intersect(fam))
-        & ~laws._intersect(ctx.dd_of(x) for x in fam) == 0)
-    if status != PASS:
-        return status, witness, laws._join_notes(note, fnote)
-    return PASS, None, note
-
-
-_SCANS = dict(zip(PAIR_CLAUSES, (_scan_rem1_ii, _scan_rem1_iv, _scan_lem4_i,
-                                 _scan_lem4_ii)))
+    tab, m = [0b01, 0b01, 0b00, 0b00], 2
+    assert scan_lem4_i(tab, all_pairs(m))
+    assert not scan_rem1_iv(tab, all_pairs(m))
+    assert not scan_rem1_iv(tab, covering_pairs(tab, m))
 
 
 def _records(qm, monkeypatch, scans):
-    """check_all records without timings; with `scans`, the four pair clauses
-    run their 4^m pair scans instead of the covering steps."""
+    """check_all records without timings; with `scans`, the pair clauses
+    quantify over all 4^m pairs instead of the covering pool."""
     with monkeypatch.context() as patch:
         if scans:
-            patch.setattr(laws, "_CLAUSES", tuple(
-                (name, _SCANS.get(name, fn)) for name, fn in laws._CLAUSES))
+            patch.setattr(laws._Ctx, "pair_pool",
+                          lambda ctx: (all_pairs(ctx.m), None))
         records = [r.to_record() for r in check_all(qm, instance="x")]
     for r in records:
         r.pop("seconds")
@@ -354,13 +317,21 @@ def _records(qm, monkeypatch, scans):
 
 
 def _flip_one_entry(monkeypatch):
-    real = laws._Ctx._build_perptab
+    real = laws._companion_table
 
-    def flipped(self):
-        real(self)
-        self._perptab[0b11] ^= 1 << 2
+    def flipped(qm):
+        tab = real(qm)
+        tab[0b11] ^= 1 << 2
+        return tab
 
-    monkeypatch.setattr(laws._Ctx, "_build_perptab", flipped)
+    monkeypatch.setattr(laws, "_companion_table", flipped)
+
+
+def _witness_pair(qm, witness):
+    """The two subset masks a pair-clause witness names, from their labels."""
+    position = {tuple(qm.vector_labels(p)): p for p in range(qm.size)}
+    keys = ("smaller", "larger") if "smaller" in witness else ("first", "second")
+    return tuple(sum(1 << position[tuple(v)] for v in witness[k]) for k in keys)
 
 
 @pytest.mark.parametrize("case", ["ex1", "m3", "ex1-flipped"])
@@ -369,12 +340,21 @@ def test_covering_steps_keep_pair_scan_records(case, ex1_qm, m3_qm, monkeypatch)
     if case == "ex1-flipped":
         _flip_one_entry(monkeypatch)
     new = _records(qm, monkeypatch, scans=False)
-    assert new == _records(qm, monkeypatch, scans=True)
+    old = _records(qm, monkeypatch, scans=True)
     statuses = {r["clause"]: r["status"] for r in new}
-    if case == "m3":
-        assert statuses["prop2"] == HYP
-    if case == "ex1-flipped":
-        failed = [c for c in PAIR_CLAUSES if statuses[c] == FAIL]
-        assert failed and all(r["witness"] for r in new if r["status"] == FAIL)
-    else:
+    if case != "ex1-flipped":
+        assert new == old
         assert all(statuses[c] == PASS for c in PAIR_CLAUSES)
+        if case == "m3":
+            assert statuses["prop2"] == HYP
+        return
+    # a failing pair clause may name another violating pair than the scan
+    assert [r["status"] for r in new] == [r["status"] for r in old]
+    failed = [c for c in PAIR_CLAUSES if statuses[c] == FAIL]
+    assert failed and all(r["witness"] for r in new if r["status"] == FAIL)
+    tab = laws._companion_table(qm)
+    for r, o in zip(new, old):
+        if r["clause"] in failed:
+            assert not SCANS[r["clause"]](tab, [_witness_pair(qm, r["witness"])])
+            r, o = dict(r, witness=None), dict(o, witness=None)
+        assert r == o
