@@ -73,10 +73,6 @@ class NotClosed(Error):
     """An operation requiring closed input received a non-closed set."""
 
 
-# closed_join documents its error under this name
-NotClosedInput = NotClosed
-
-
 class FactorizationFailed(Error):
     """A closed set did not factor into closed factor components.
 

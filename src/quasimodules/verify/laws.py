@@ -6,13 +6,17 @@ Quantifiers follow explicit budgets: subset-quantified clauses are
 exhaustive up to a carrier-size threshold and sampled (all subquasimodules
 plus seeded random subsets) beyond it. Pair-quantified clauses scan the
 covering pairs, which decide them exactly, up to a smaller threshold and
-sampled pairs beyond it. Any restriction is stamped into the report note.
+sampled pairs beyond it. `lem1` compares two maps that both turn unions into
+intersections, so it is decided on the empty set and the singletons at every
+size; beyond the subset threshold its note still names the sampled pool. Any
+restriction is stamped into the report note.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product as iproduct
 from time import perf_counter
 
@@ -96,62 +100,53 @@ class _Ctx:
         self._close_cache = {}
         self._subqm_cache = {}
         self.zd_defect = zero_distributivity_defect(qm)
-        self._subs = "unset"
         self._subs_note = None
-        self._closed = "unset"
-        self._splitting = None
-        self._factor_subqm_pools = None
 
     # -- derived structures --------------------------------------------------
 
-    @property
+    @cached_property
     def subs(self):
-        if self._subs == "unset":
-            try:
-                self._subs = all_subquasimodules(self.qm, max_nodes=self.b.max_nodes)
-            except EnumerationBudgetExceeded as exc:
-                self._subs = None
-                self._subs_note = str(exc)
-        return self._subs
+        try:
+            return all_subquasimodules(self.qm, max_nodes=self.b.max_nodes)
+        except EnumerationBudgetExceeded as exc:
+            self._subs_note = str(exc)
+            return None
 
-    @property
+    @cached_property
     def closed(self):
-        if self._closed == "unset":
-            self._closed = (closed_subquasimodules(self.qm)
-                            if self.zd_defect is None else None)
-        return self._closed
+        return closed_subquasimodules(self.qm) if self.zd_defect is None else None
 
+    @cached_property
+    def iso(self):
+        return closed_lattice_iso(self.qm)
+
+    @cached_property
     def splitting_masks(self):
-        if self._splitting is None:
-            subs = self.subs
-            if subs is None:
-                return None
-            self._splitting = [m for m in subs.nodes
-                               if is_splitting(self.qm, SubQM(self.qm, m))]
-        return self._splitting
+        if self.subs is None:
+            return None
+        return [m for m in self.subs.nodes if is_splitting(self.qm, SubQM(self.qm, m))]
 
+    @cached_property
     def factor_subqm_pools(self):
         """Per factor: element subsets to quantify product clauses over.
 
         All subquasimodules of the factor, plus a few seeded arbitrary
         subsets so the 'only if' directions get exercised.
         """
-        if self._factor_subqm_pools is None:
-            rng = random.Random(self.b.seed + 1)
-            pools = []
-            for i in range(len(self.qm.factors)):
-                fqm = self.qm.factor_qm(i)
-                subs_i = all_subquasimodules(fqm)
-                pool = {factor_element_mask(fqm, m) for m in subs_i.nodes}
-                fm = self.qm.factors[i].members
-                fbits = list(iter_bits(fm))
-                for _ in range(8):
-                    sample = mask_of(e for e in fbits if rng.random() < 0.5)
-                    if sample:
-                        pool.add(sample)
-                pools.append(sorted(pool))
-            self._factor_subqm_pools = pools
-        return self._factor_subqm_pools
+        rng = random.Random(self.b.seed + 1)
+        pools = []
+        for i in range(len(self.qm.factors)):
+            fqm = self.qm.factor_qm(i)
+            subs_i = all_subquasimodules(fqm)
+            pool = {factor_element_mask(fqm, m) for m in subs_i.nodes}
+            fm = self.qm.factors[i].members
+            fbits = list(iter_bits(fm))
+            for _ in range(8):
+                sample = mask_of(e for e in fbits if rng.random() < 0.5)
+                if sample:
+                    pool.add(sample)
+            pools.append(sorted(pool))
+        return pools
 
     # -- companion machinery ---------------------------------------------------
 
@@ -174,6 +169,7 @@ class _Ctx:
 
     # -- quantifier pools -------------------------------------------------------
 
+    @cached_property
     def subset_pool(self):
         """(masks, note) quantifying 'for all subsets' clauses."""
         if self.m <= _EXHAUSTIVE_SUBSET_BITS:
@@ -188,7 +184,7 @@ class _Ctx:
         beyond."""
         if self.m <= _EXHAUSTIVE_PAIR_BITS:
             return covering_pairs(self.perp, self.m), None
-        base, _ = self.subset_pool()
+        base, _ = self.subset_pool
         base = list(base)
         nodes = list(self.subs.nodes) if self.subs is not None else []
         pairs = [(a, b) for a in nodes for b in nodes]
@@ -328,7 +324,7 @@ def _c_axioms(ctx):
 
 
 def _c_rem1_i(ctx):
-    pool, note = ctx.subset_pool()
+    pool, note = ctx.subset_pool
     for a in pool:
         if a & ~ctx.dd_of(a):
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
@@ -344,7 +340,7 @@ def _c_rem1_ii(ctx):
 
 
 def _c_rem1_iii(ctx):
-    pool, note = ctx.subset_pool()
+    pool, note = ctx.subset_pool
     for a in pool:
         pa = ctx.perp[a]
         if ctx.perp[ctx.perp[pa]] != pa:
@@ -395,7 +391,7 @@ def _c_lem4_iv(ctx):
     # Any vector orthogonal to itself is zero, so the intersection of a set
     # with its companion lies inside {zero}; it equals {zero} exactly when
     # the set contains the zero vector. Tested in that refined form.
-    pool, note = ctx.subset_pool()
+    pool, note = ctx.subset_pool
     for a in pool:
         if a == 0:
             continue
@@ -425,7 +421,7 @@ def _c_separation(ctx):
 
 
 def _c_prop2(ctx):
-    pool, note = ctx.subset_pool()
+    pool, note = ctx.subset_pool
     if ctx.zd_defect is not None:
         hyp_note = str(ctx.zd_defect)
         for a in pool:
@@ -456,7 +452,7 @@ def _hyp_guard(fn):
 @_hyp_guard
 def _c_th2_i(ctx):
     nodes = set(ctx.closed.nodes)
-    pool, note = ctx.subset_pool()
+    pool, note = ctx.subset_pool
     seen = set()
     for a in pool:
         pa = ctx.perp[a]
@@ -472,7 +468,7 @@ def _c_th2_i(ctx):
 @_hyp_guard
 def _c_th2_ii(ctx):
     nodes = ctx.closed.nodes
-    pool, note = ctx.subset_pool()
+    pool, note = ctx.subset_pool
     for a in pool:
         dd = ctx.dd_of(a)
         if a & ~dd or dd not in ctx.closed.base.index:
@@ -578,37 +574,18 @@ def _c_lem6_ii(ctx):
 
 
 def _c_lem1(ctx):
+    # Both sides are meets over the members of a: perp(a) by definition, the
+    # product side because projection, factor companion and product each turn
+    # a union into an intersection. So they agree on every subset iff they
+    # agree on the empty set and every singleton; as these come first in any
+    # ascending pool, the first failure is also the same.
     qm = ctx.qm
-    k = len(qm.factors)
-    pool, note = ctx.subset_pool()
-    fperp_cache = [{} for _ in range(k)]
-
-    def factor_perp_elements(i, emask):
-        cached = fperp_cache[i].get(emask)
-        if cached is None:
-            fqm = qm.factor_qm(i)
-            cached = factor_element_mask(
-                fqm, perp(fqm, factor_carrier_mask(fqm, emask)))
-            fperp_cache[i][emask] = cached
-        return cached
-
-    if note is None:
-        # exhaustive: projections by dynamic programming over subset masks
-        proj = [[0] * (1 << ctx.m) for _ in range(k)]
-        for i in range(k):
-            row = proj[i]
-            for mask in range(1, 1 << ctx.m):
-                low = mask & -mask
-                row[mask] = row[mask ^ low] | 1 << qm.carrier[low.bit_length() - 1][i]
-        for a in pool:
-            expect = product_mask(qm, [factor_perp_elements(i, proj[i][a])
-                                       for i in range(k)])
-            if ctx.perp[a] != expect:
-                return FAIL, ctx.doc(subset=ctx.labels(a)), note
-        return PASS, None, note
-    for a in pool:
-        expect = product_mask(qm, [factor_perp_elements(i, qm.project(a, i))
-                                   for i in range(k)])
+    fqms = [qm.factor_qm(i) for i in range(len(qm.factors))]
+    _, note = ctx.subset_pool
+    for a in (0, *(1 << p for p in range(ctx.m))):
+        expect = product_mask(qm, [
+            factor_element_mask(fqm, perp(fqm, factor_carrier_mask(fqm, qm.project(a, i))))
+            for i, fqm in enumerate(fqms)])
         if ctx.perp[a] != expect:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
     return PASS, None, note
@@ -619,14 +596,9 @@ def _c_th3(ctx):
     qm = ctx.qm
     for mask in ctx.closed.nodes:
         factorize_closed(qm, SubQM(qm, mask))  # raises on violation
-    pools = []
-    for i in range(len(qm.factors)):
-        fqm = qm.factor_qm(i)
-        fcl = closed_subquasimodules(fqm)
-        pools.append([factor_element_mask(fqm, m) for m in fcl.nodes])
     index = ctx.closed.base.index
-    for choice in iproduct(*pools):
-        if product_mask(qm, choice) not in index:
+    for choice, image in ctx.iso.assignments:
+        if image not in index:
             labels = [list(qm.lattice.labels(m)) for m in choice]
             return FAIL, ctx.doc(factor_choice=labels), None
     return PASS, None, None
@@ -634,7 +606,7 @@ def _c_th3(ctx):
 
 @_hyp_guard
 def _c_cor1(ctx):
-    iso = closed_lattice_iso(ctx.qm)
+    iso = ctx.iso
     if not iso.is_isomorphism:
         return FAIL, ctx.doc(bijective=iso.bijective,
                              order_embedding=iso.order_embedding), None
@@ -642,7 +614,7 @@ def _c_cor1(ctx):
 
 
 def _c_splitting_subset_closed(ctx):
-    masks = ctx.splitting_masks()
+    masks = ctx.splitting_masks
     if masks is None:
         return BUDGET, None, ctx._subs_note
     for mask in masks:
@@ -653,7 +625,7 @@ def _c_splitting_subset_closed(ctx):
 
 @_hyp_guard
 def _c_splitting_perp(ctx):
-    masks = ctx.splitting_masks()
+    masks = ctx.splitting_masks
     if masks is None:
         return BUDGET, None, ctx._subs_note
     qm = ctx.qm
@@ -681,7 +653,7 @@ def _c_splitting_product(ctx):
 def _product_iff(ctx, factor_side, product_side):
     """Check: product passes iff every factor component passes."""
     qm = ctx.qm
-    pools = ctx.factor_subqm_pools()
+    pools = ctx.factor_subqm_pools
     total = 1
     for p in pools:
         total *= len(p)
@@ -706,7 +678,7 @@ def _product_iff(ctx, factor_side, product_side):
 
 def _family_check(ctx, law):
     """Apply a family law to seeded families drawn from the subset pool."""
-    pool, note = ctx.subset_pool()
+    pool, note = ctx.subset_pool
     rng = random.Random(ctx.b.seed + 6)
     for fam in _families(rng, list(pool), ctx.b.family_samples):
         if not law(fam):

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from quasimodules import (
     is_subquasimodule,
     perp,
     principal_ideal,
+    principal_perp,
     reproduce_reference,
     replay_witness,
 )
@@ -358,3 +360,79 @@ def test_covering_steps_keep_pair_scan_records(case, ex1_qm, m3_qm, monkeypatch)
             assert not SCANS[r["clause"]](tab, [_witness_pair(qm, r["witness"])])
             r, o = dict(r, witness=None), dict(o, witness=None)
         assert r == o
+
+
+# -- lem1 on the empty set and the singletons ---------------------------------
+
+def old_lem1(ctx):
+    """The former lem1 walk, kept as the oracle: every subset in ascending
+    order up to 16 vectors (projections by dynamic programming), the sampled
+    subset pool through qm.project beyond."""
+    qm, k = ctx.qm, len(ctx.qm.factors)
+    pool, note = ctx.subset_pool
+    fqms = [qm.factor_qm(i) for i in range(k)]
+    if note is None:
+        proj = [[0] * (1 << ctx.m) for _ in range(k)]
+        for i, row in enumerate(proj):
+            for mask in range(1, 1 << ctx.m):
+                low = mask & -mask
+                row[mask] = row[mask ^ low] | 1 << qm.carrier[low.bit_length() - 1][i]
+        project = lambda a, i: proj[i][a]
+    else:
+        project = qm.project
+    fperp = {}
+
+    def factor_perp(i, emask):
+        if (i, emask) not in fperp:
+            fqm = fqms[i]
+            fperp[i, emask] = galois.factor_element_mask(
+                fqm, perp(fqm, galois.factor_carrier_mask(fqm, emask)))
+        return fperp[i, emask]
+
+    for a in pool:
+        expect = galois.product_mask(qm, [factor_perp(i, project(a, i)) for i in range(k)])
+        if ctx.perp[a] != expect:
+            return FAIL, ctx.doc(subset=ctx.labels(a)), note
+    return PASS, None, note
+
+
+# ex1, M3 x [0,a] (not 0-distributive), chain_4^2 (16 vectors, the largest
+# exhaustive size) and N5^2 (25 vectors, sampled pool)
+COMPANION_INSTANCES = {"ex1": ("n5", ["*", "a"]), "m3xa": ("m3", ["*", "a"]),
+                       "chain4sq": ("chain_4", ["*", "*"]), "n5sq": ("n5", ["*", "*"])}
+
+
+@pytest.mark.parametrize("name", sorted(COMPANION_INSTANCES))
+def test_lem1_on_generators_keeps_subset_walk_records(name):
+    # unpoisoned, then each singleton companion poisoned before the context
+    # is built (so the table stays the meet of its singleton entries), then
+    # the table entry of the empty set broken
+    lattice, gens = COMPANION_INSTANCES[name]
+    size = qm_from(lattice, gens).size
+    for poison in (None, "empty", *range(size)):
+        qm = qm_from(lattice, gens)
+        if poison not in (None, "empty"):
+            qm._pperp[poison] = principal_perp(qm, poison) ^ 1 << qm.zero
+        ctx = laws._Ctx(qm, Budgets(), name)
+        if poison == "empty":
+            ctx.perp[0] ^= 1 << qm.zero
+        got = laws._c_lem1(ctx)
+        assert got == old_lem1(ctx), poison
+        assert got[0] == (PASS if poison is None else FAIL), poison
+        assert (got[2] is None) == (size <= 16)
+
+
+@pytest.mark.parametrize("lattice, gens", [("n5", ["*", "a"]), ("m3", ["*", "a"]),
+                                           ("chain_4", ["*", "*"]),
+                                           ("boolean_2", ["*", "a"]), ("n5", ["*", "*"])])
+def test_companion_table_matches_perp(lattice, gens):
+    qm = qm_from(lattice, gens)
+    tab = laws._companion_table(qm)
+    if qm.size <= 16:
+        masks = range(1 << qm.size)
+    else:
+        assert isinstance(tab, laws._PerpCache)
+        rng = random.Random(0)
+        masks = [0, qm.full_mask, *(rng.getrandbits(qm.size) for _ in range(300))]
+    for a in masks:
+        assert tab[a] == perp(qm, a), a
