@@ -95,12 +95,13 @@ class Lattice:
         for i in range(n):
             mi, ji = meet[i], join[i]
             for j in range(n):
-                pair = f"({self.names[i]}, {self.names[j]})"
                 if mi[ji[j]] != i or ji[mi[j]] != i:
-                    raise NotALattice(f"absorption fails at {pair}")
+                    raise NotALattice(
+                        f"absorption fails at ({self.names[i]}, {self.names[j]})")
                 le = up[i] >> j & 1
                 if (mi[j] == i) != bool(le) or (ji[j] == j) != bool(le):
-                    raise NotALattice(f"order and tables disagree at {pair}")
+                    raise NotALattice("order and tables disagree "
+                                      f"at ({self.names[i]}, {self.names[j]})")
         for i in range(n):
             for j in range(n):
                 mij, jij = meet[i][j], join[i][j]

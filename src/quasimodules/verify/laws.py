@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product as iproduct
+from itertools import chain, combinations, product as iproduct
 from time import perf_counter
 
 from ..bitset import bit_key, iter_bits, mask_of
@@ -180,21 +180,20 @@ class _Ctx:
 
     def pair_pool(self):
         """(pairs, note) quantifying 'for all pairs of subsets' clauses: the
-        covering pairs up to _EXHAUSTIVE_PAIR_BITS positions, sampled pairs
-        beyond."""
+        covering pairs up to _EXHAUSTIVE_PAIR_BITS positions; beyond, every
+        subquasimodule pair, seeded pairs, then the empty set, {zero} and
+        the carrier against the first 64 pool subsets. Either way the pairs
+        are yielded one at a time, not held in a list."""
         if self.m <= _EXHAUSTIVE_PAIR_BITS:
             return covering_pairs(self.perp, self.m), None
         base, _ = self.subset_pool
-        base = list(base)
-        nodes = list(self.subs.nodes) if self.subs is not None else []
-        pairs = [(a, b) for a in nodes for b in nodes]
+        nodes = self.subs.nodes if self.subs is not None else ()
         rng = random.Random(self.b.seed + 3)
-        for _ in range(self.b.random_pairs):
-            pairs.append((rng.choice(base), rng.choice(base)))
-        pairs.extend((a, b) for a in (0, self.zmask, self.full) for b in base[:64])
+        seeded = ((rng.choice(base), rng.choice(base)) for _ in range(self.b.random_pairs))
+        fixed = ((a, b) for a in (0, self.zmask, self.full) for b in base[:64])
         note = (f"pairs sampled: subquasimodule pairs plus "
                 f"{self.b.random_pairs} seeded pairs")
-        return pairs, note
+        return chain(iproduct(nodes, repeat=2), seeded, fixed), note
 
     def sampled_pool(self, count, seed_offset):
         """Sorted pool: empty set, {zero}, carrier, singletons, every

@@ -231,6 +231,59 @@ def test_all_subquasimodules_chain3_cubed():
         assert close_mask(qm, mask) == mask
 
 
+# -- Fast Close-by-One against Close-by-One --------------------------------
+
+def cbo_nodes(qm):
+    """The former Close-by-One loop, kept as the oracle: every canonical
+    extension is tried with a closure call, with no inherited failures."""
+    bottom = subquasi.close_mask(qm, 0)
+    nodes = [bottom]
+    stack = [(bottom, 0)]
+    while stack:
+        b, y = stack.pop()
+        for p in range(y, qm.size):
+            if b >> p & 1:
+                continue
+            c = subquasi.close_mask(qm, 1 << p, base=b)
+            if (c ^ b) & ((1 << p) - 1):
+                continue
+            nodes.append(c)
+            stack.append((c, p + 1))
+    return tuple(sorted(nodes, key=bit_key))
+
+
+# ex1, N5 and the three subs-ladder instances of the benchmark
+FCBO_INSTANCES = {"ex1": ("n5", ["*", "a"]), "n5": ("n5", ["*"]),
+                  "chain5.sq": ("chain_5", ["*", "*"]),
+                  "chain6.top-x-4": ("chain_6", ["*", "4"]),
+                  "bool3.sq": ("boolean_3", ["*", "*"])}
+
+
+@pytest.mark.parametrize("name", list(FCBO_INSTANCES))
+def test_fcbo_matches_cbo_with_fewer_closures(name, monkeypatch):
+    qm = qm_from(*FCBO_INSTANCES[name])
+    calls = []
+    real = subquasi.close_mask
+    monkeypatch.setattr(subquasi, "close_mask",
+                        lambda *args, **kw: calls.append(None) or real(*args, **kw))
+    nodes = all_subquasimodules(qm).nodes
+    fcbo_calls = len(calls)
+    calls.clear()
+    assert nodes == cbo_nodes(qm)
+    cbo_calls = len(calls)
+    assert fcbo_calls <= cbo_calls
+    if name == "bool3.sq":
+        # 397 against 9 795: inherited failures skip most closure calls
+        assert fcbo_calls < cbo_calls
+
+
+def test_all_subquasimodules_budget_boundary_on_chain5_squared():
+    qm = qm_from("chain_5", ["*", "*"])
+    with pytest.raises(EnumerationBudgetExceeded):
+        all_subquasimodules(qm, max_nodes=3059)
+    assert len(all_subquasimodules(qm, max_nodes=3060)) == 3060
+
+
 @pytest.mark.parametrize("lattice_name, factor_gens", [
     ("n5", ["*", "a"]),        # ex1
     ("chain_4", ["*", "*"]),

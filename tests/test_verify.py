@@ -436,3 +436,56 @@ def test_companion_table_matches_perp(lattice, gens):
         masks = [0, qm.full_mask, *(rng.getrandbits(qm.size) for _ in range(300))]
     for a in masks:
         assert tab[a] == perp(qm, a), a
+
+
+# -- sampled pair pool, yielded lazily ----------------------------------------
+
+def old_pair_pool(ctx):
+    """The former pair pool, kept as the oracle: the covering pairs up to 10
+    vectors; beyond, one list of every subquasimodule pair, the seeded pairs
+    and the three fixed sets against the first 64 pool subsets."""
+    if ctx.m <= 10:
+        return covering_pairs(ctx.perp, ctx.m), None
+    base, _ = ctx.subset_pool
+    base = list(base)
+    nodes = list(ctx.subs.nodes) if ctx.subs is not None else []
+    pairs = [(a, b) for a in nodes for b in nodes]
+    rng = random.Random(ctx.b.seed + 3)
+    for _ in range(ctx.b.random_pairs):
+        pairs.append((rng.choice(base), rng.choice(base)))
+    pairs.extend((a, b) for a in (0, ctx.zmask, ctx.full) for b in base[:64])
+    note = (f"pairs sampled: subquasimodule pairs plus "
+            f"{ctx.b.random_pairs} seeded pairs")
+    return pairs, note
+
+
+# ex1 (10 vectors, covering pool), chain_4^2 (16), N5^2 (25) and fig5^2
+# (36 vectors, 696 subquasimodules)
+PAIR_POOL_INSTANCES = {"ex1": ("n5", ["*", "a"]), "chain4sq": ("chain_4", ["*", "*"]),
+                       "n5sq": ("n5", ["*", "*"]), "fig5sq": ("fig5", ["*", "*"])}
+
+
+@pytest.mark.parametrize("name", ["chain4sq", "n5sq"])
+def test_sampled_pair_pool_yields_the_old_list(name):
+    ctx = laws._Ctx(qm_from(*PAIR_POOL_INSTANCES[name]), Budgets(), name)
+    pairs, note = ctx.pair_pool()
+    old_pairs, old_note = old_pair_pool(ctx)
+    assert not isinstance(pairs, list)
+    assert list(pairs) == old_pairs
+    assert note == old_note is not None
+
+
+def _all_records(qm, name):
+    records = [r.to_record() for r in check_all(qm, instance=name)]
+    records.append(check_homomorphism(qm, instance=name).to_record())
+    for r in records:
+        r.pop("seconds")
+    return records
+
+
+@pytest.mark.parametrize("name", list(PAIR_POOL_INSTANCES))
+def test_sampled_pair_pool_keeps_records(name, monkeypatch):
+    qm = qm_from(*PAIR_POOL_INSTANCES[name])
+    new = _all_records(qm, name)
+    monkeypatch.setattr(laws._Ctx, "pair_pool", old_pair_pool)
+    assert new == _all_records(qm, name)
