@@ -68,7 +68,7 @@ def _build_parser():
     p_qm.add_argument("action", choices=QM_ACTIONS)
     p_qm.add_argument("file")
     p_qm.add_argument("--max-basis-size", type=_non_negative, default=3)
-    p_qm.add_argument("--budget", type=int, default=200_000,
+    p_qm.add_argument("--budget", type=_non_negative, default=200_000,
                       help="node budget for subquasimodule enumeration")
     p_qm.add_argument("--format", choices=("table", "structured"), default="table")
     p_qm.add_argument("--closed-only", action="store_true",
@@ -81,7 +81,7 @@ def _build_parser():
     p_dot.add_argument("--which", choices=("lattice", "subs", "closed"),
                        required=True)
     p_dot.add_argument("-o", "--output", default=None)
-    p_dot.add_argument("--budget", type=int, default=200_000)
+    p_dot.add_argument("--budget", type=_non_negative, default=200_000)
 
     p_ver = sub.add_parser("verify", help="run the verification harness")
     p_ver.add_argument("--instance", choices=REFERENCE_INSTANCES, default=None)

@@ -5,6 +5,13 @@ The companion of a subset A is every vector orthogonal to all of A. It equals
 the intersection of the companions of A's single vectors, which is how all
 companion computations here are organized. The empty subset's companion is
 the whole carrier (vacuous quantification).
+
+Orthogonality is coordinatewise, so the companion of a vector p is also the
+intersection, over the coordinates i, of the companions of its axis vectors
+(p_i at coordinate i, bottom elsewhere). The closed sets are therefore the
+intersection closure of at most sum |F_i| axis companions, with or without
+0-distributivity, and that is how closed_sets builds them. The closed lattice
+is built once per quasimodule and kept on it, as the companions are.
 """
 
 from __future__ import annotations
@@ -120,17 +127,32 @@ def _require_zero_distributive(qm):
         raise defect
 
 
+def _axis_companions(qm):
+    """The distinct companions of the axis vectors (one member of one factor,
+    bottom elsewhere), each mapped to the first axis vector that has it."""
+    bottom = [qm.lattice.bottom] * len(qm.factors)
+    out = {}
+    for i, factor in enumerate(qm.factors):
+        for e in iter_bits(factor.members):
+            coords = bottom.copy()
+            coords[i] = e
+            p = qm.index[tuple(coords)]
+            out.setdefault(principal_perp(qm, p), p)
+    return out
+
+
 def closed_sets(qm):
     """All fixed points of the double-companion operator, as bitmasks.
 
     Every closed set is an intersection of single-vector companions (or the
-    whole carrier), so the intersection closure of those is complete. It is
-    built one distinct companion g at a time, adding n & g for every set n
-    so far. No 0-distributivity is needed for the set-level characterization.
+    whole carrier), and each of those is an intersection of axis companions,
+    so the intersection closure of the axis companions is complete: at most
+    sum |F_i| generators instead of |Q|. It is built one generator g at a
+    time, adding n & g for every set n so far. No 0-distributivity is needed
+    for the set-level characterization.
     """
-    # not Close-by-One: same sets, 8-15x slower (bool3.cube 0.38 s -> 5.7 s)
     nodes = {qm.full_mask}
-    for g in {principal_perp(qm, p) for p in range(qm.size)}:
+    for g in _axis_companions(qm):
         nodes |= {n & g for n in nodes}
     return nodes
 
@@ -161,16 +183,24 @@ class ClosedLattice:
 
 
 def closed_subquasimodules(qm):
-    """The lattice of closed subquasimodules; requires 0-distributive factors."""
+    """The lattice of closed subquasimodules; requires 0-distributive factors.
+
+    Every closed set is an intersection of axis companions, which are closed
+    themselves, so all closed sets are subquasimodules iff those are. The
+    lattice is kept on the quasimodule once every check has passed; errors
+    are not kept.
+    """
+    if qm._closed is not None:
+        return qm._closed
     _require_zero_distributive(qm)
-    nodes = closed_sets(qm)
-    for mask in nodes:
+    for mask, p in _axis_companions(qm).items():
         ok, witness = is_subquasimodule(qm, mask)
         if not ok:
             raise FactorizationFailed(
-                f"closed set {qm.label_sets(mask)} is not a subquasimodule "
+                f"companion {qm.label_sets(mask)} of axis vector "
+                f"{qm.vector_labels(p)} is not a subquasimodule "
                 f"despite 0-distributive factors (witness {witness})")
-    base = SubQMLattice(qm, nodes,
+    base = SubQMLattice(qm, closed_sets(qm),
                         join_closure=lambda m: perp(qm, perp(qm, m)),
                         kind="closed")
     perp_map = []
@@ -180,7 +210,8 @@ def closed_subquasimodules(qm):
             raise CompanionNotClosed(
                 f"companion of closed set {qm.label_sets(mask)} is not closed")
         perp_map.append(base.index[pm])
-    return ClosedLattice(base, tuple(perp_map))
+    qm._closed = ClosedLattice(base, tuple(perp_map))
+    return qm._closed
 
 
 def closed_join(qm, sub_a, sub_b):
@@ -320,7 +351,6 @@ class ClosedIso:
 
 def closed_lattice_iso(qm):
     """Build and verify the product isomorphism onto the closed lattice."""
-    _require_zero_distributive(qm)
     closed = closed_subquasimodules(qm)
     factor_closed = []
     for i in range(len(qm.factors)):

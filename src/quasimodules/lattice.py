@@ -418,9 +418,19 @@ def format_lattice(lattice):
     return "\n".join(lines) + "\n"
 
 
-def read_lattice_file(path):
+def read_text(path):
+    """A lattice or quasimodule file's text; bytes that are not UTF-8 raise
+    ParseError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_lattice(fh.read(), source=str(path))
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                             str(path)) from None
+
+
+def read_lattice_file(path):
+    return parse_lattice(read_text(path), source=str(path))
 
 
 def load_lattice(ref, base_dir="."):

@@ -28,7 +28,7 @@ from .errors import (
     NotInCarrier,
     ParseError,
 )
-from .lattice import Ideal, Lattice, is_ideal, load_lattice
+from .lattice import Ideal, Lattice, is_ideal, load_lattice, read_text
 
 
 class CanonicalQM:
@@ -40,7 +40,7 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_pperp", "_factor_qms", "_coord_masks", "_moves", "_steps")
+                 "_pperp", "_factor_qms", "_closed", "_coord_masks", "_moves", "_steps")
 
     def __init__(self, lattice, factors, carrier, index):
         self.lattice = lattice
@@ -51,6 +51,8 @@ class CanonicalQM:
         self.zero = index[tuple([lattice.bottom] * len(factors))]
         self._pperp = {}
         self._factor_qms = {}
+        # the ClosedLattice, set by closed_subquasimodules once its checks pass
+        self._closed = None
         self._coord_masks = None
         # (kind, factor, element) -> [(slab, shift)], shared by the steps
         self._moves = {}
@@ -492,7 +494,5 @@ def parse_qm(text, base_dir=".", source="<qm>"):
 
 
 def read_qm_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_qm(text, base_dir=os.path.dirname(os.path.abspath(path)),
+    return parse_qm(read_text(path), base_dir=os.path.dirname(os.path.abspath(path)),
                     source=str(path))

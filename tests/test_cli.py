@@ -63,6 +63,19 @@ def test_parse_error_exit_code(files, capsys):
     assert "bad.lat:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["qm", "closed"], "bad.qm"),
+    (["lattice", "check"], "bad.lat"),
+])
+def test_undecodable_file_is_a_parse_error(argv, name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfelattice: n5.lat\n")
+    code = main(argv + [str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
 def test_qm_subs(files, capsys):
     code, out = run(capsys, "qm", "subs", files / "ex1.qm")
     assert code == 0
@@ -194,6 +207,10 @@ def test_unknown_flag_rejected(files):
     (["verify", "--search", "--max-size", "8"], "invalid choice: 8"),
     (["verify", "--search", "--max-factors", "3"], "invalid choice: 3"),
     (["verify", "--search", "--max-factors", "0"], "invalid choice: 0"),
+    (["qm", "verify", "builtin:n5", "--budget", "-5"], "-5 is negative"),
+    (["qm", "subs", "builtin:n5", "--budget", "-5"], "-5 is negative"),
+    (["export", "dot", "builtin:n5", "--which", "subs", "--budget", "-1"],
+     "-1 is negative"),
 ])
 def test_out_of_range_arguments_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as err:

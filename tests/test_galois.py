@@ -30,6 +30,7 @@ from quasimodules.bitset import iter_bits, mask_of
 from quasimodules.errors import (
     CompanionNotClosed,
     CompanionOverlap,
+    FactorizationFailed,
     NotClosed,
     NotZeroDistributive,
     SplittingNotClosed,
@@ -41,6 +42,8 @@ from quasimodules.galois import (
     principal_perp,
     product_mask,
 )
+from quasimodules.verify import SearchConfig
+from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 
 import golden
 from conftest import KERNEL_INSTANCES, qm_from, sparse_mask
@@ -299,6 +302,90 @@ def test_closed_sets_match_saturation(spec):
                     fresh.append(c)
         frontier = sorted(fresh)
     assert closed_sets(qm) == nodes
+
+
+def singleton_closure(qm):
+    # oracle: the intersection closure of all |Q| singleton companions
+    nodes = {qm.full_mask}
+    for g in {principal_perp(qm, p) for p in range(qm.size)}:
+        nodes |= {n & g for n in nodes}
+    return nodes
+
+
+def test_closed_sets_match_singleton_closure_on_small_lattices():
+    # every lattice up to 5 elements, each factor tuple the search tries,
+    # 0-distributive or not (M3 and N5 among them)
+    cfg = SearchConfig(max_lattice_size=5)
+    cases = 0
+    for n in range(1, 6):
+        for lat in _exhaustive_lattices(n):
+            for factors, desc in _factor_variants(lat, cfg):
+                qm = canonical(lat, factors)
+                assert closed_sets(qm) == singleton_closure(qm), (lat.up, desc)
+                cases += 1
+    assert cases == 61
+
+
+def test_poisoned_axis_companion_fails_the_self_check(ex1_qm):
+    qm = ex1_qm
+    p = qm.vector("a", "0")
+    # the companion of (a,0) without the zero vector is no subquasimodule
+    qm._pperp[p] = principal_perp(qm, p) ^ 1 << qm.zero
+    with pytest.raises(FactorizationFailed) as err:
+        closed_subquasimodules(qm)
+    assert "axis vector ('a', '0')" in str(err.value)
+    assert qm._closed is None
+
+
+def test_closed_lattice_is_built_once(ex1_qm, monkeypatch):
+    qm = ex1_qm
+    closed = closed_subquasimodules(qm)
+    assert closed_subquasimodules(qm) is closed
+    returned = []
+
+    def spy(q):
+        returned.append(build(q))
+        return returned[-1]
+
+    build = galois.closed_subquasimodules
+    monkeypatch.setattr(galois, "closed_subquasimodules", spy)
+    assert closed_lattice_iso(qm).is_isomorphism
+    assert returned[0] is closed
+    # the second product map rebuilds nothing, the factors' lattices included
+    monkeypatch.setattr(galois, "closed_sets", lambda q: pytest.fail("rebuilt"))
+    first = returned[:]
+    returned.clear()
+    assert closed_lattice_iso(qm).is_isomorphism
+    assert len(returned) == 3
+    assert all(a is b for a, b in zip(returned, first))
+
+
+def test_not_zero_distributive_is_not_cached(m3_qm):
+    for _ in range(2):
+        with pytest.raises(NotZeroDistributive):
+            closed_subquasimodules(m3_qm)
+        assert m3_qm._closed is None
+
+
+def brute_closed_count(qm):
+    return sum(1 for m in range(1 << qm.size) if perp(qm, perp(qm, m)) == m)
+
+
+@pytest.mark.parametrize("qm", [read_qm_file(os.path.join(SPECS, "bool3.cube.qm")),
+                                read_qm_file(os.path.join(SPECS, "n5.pow4.qm")),
+                                qm_from("chain_3", ["*"] * 3),
+                                qm_from("chain_6", ["*"] * 2),
+                                qm_from("chain_7", ["5", "6"])],
+                         ids=("bool3.cube", "n5.pow4", "chain_3^3", "chain_6^2",
+                              "chain_6xchain_7"))
+def test_closed_count_is_the_product_of_factor_counts(qm):
+    # th3 and cor1: the closed lattice is the product of the factors' closed
+    # lattices, each counted over all subsets of its carrier
+    want = 1
+    for i in range(len(qm.factors)):
+        want *= brute_closed_count(qm.factor_qm(i))
+    assert len(closed_sets(qm)) == want
+    assert closed_lattice_iso(qm).is_isomorphism
 
 
 # -- slab-shift paths against per-element definitions ------------------------------
