@@ -26,6 +26,7 @@ from .lattice import (
     is_modular,
     load_lattice,
     principal_ideal,
+    read_text,
 )
 from .quasimodule import canonical, read_qm_file
 from .subquasi import SubQM, all_subquasimodules, find_bases
@@ -111,6 +112,21 @@ def _load_qm(ref):
         lattice = load_lattice(ref)
         return canonical(lattice, (principal_ideal(lattice, lattice.top),))
     return read_qm_file(ref)
+
+
+def _lattice_of(ref):
+    """The lattice of a lattice file, or the one a quasimodule spec names. A
+    file whose first non-comment line is an `elements:` header is a lattice
+    file, so its errors are the lattice parser's."""
+    try:
+        return load_lattice(ref)
+    except Error:
+        if not ref.startswith("builtin:"):
+            lines = (l.strip() for l in read_text(ref).splitlines())
+            first = next((l for l in lines if l and not l.startswith("#")), "")
+            if first.startswith("elements:"):
+                raise
+        return _load_qm(ref).lattice
 
 
 def _witness_str(lattice, witness):
@@ -270,10 +286,7 @@ def _cmd_export_dot(args):
     config = (f"// config: command=export which={args.which} file={args.file} "
               f"budget={args.budget}\n")
     if args.which == "lattice":
-        try:
-            lattice = load_lattice(args.file)
-        except Error:
-            lattice = _load_qm(args.file).lattice
+        lattice = _lattice_of(args.file)
         text = _dot_text(lattice.names, lattice.covers(), "lattice")
     else:
         qm = _load_qm(args.file)

@@ -34,17 +34,11 @@ from ..galois import (
     principal_perp,
     sum_set,
 )
-from ..lattice import (
-    build_lattice,
-    format_lattice,
-    is_0_distributive,
-    parse_lattice,
-    principal_ideal,
-)
+from ..lattice import build_lattice, is_0_distributive, parse_lattice, principal_ideal
 from ..quasimodule import canonical
 from ..subquasi import SubQM, is_subquasimodule
 from .laws import (FAIL, Budgets, TheoremReport, _parse_factor, check_all,
-                   violation_labels)
+                   factor_descriptor, set_labels, violation_labels, witness_doc)
 
 DROPPABLE = ("0-distributive", "closed-is-splitting")
 
@@ -112,12 +106,11 @@ def _factor_variants(lat, cfg):
     """Factor tuples to try on one lattice: the whole lattice, then the
     lattice times each principal interval, within the carrier cap."""
     top = principal_ideal(lat, lat.top)
-    yield (top,), (f"principal {lat.names[lat.top]}",)
+    yield (top,)
     if cfg.max_factors >= 2:
         for q in range(lat.n):
             if lat.n * lat.down[q].bit_count() <= _MAX_CARRIER:
-                yield ((top, principal_ideal(lat, q)),
-                       (f"principal {lat.names[lat.top]}", f"principal {lat.names[q]}"))
+                yield top, principal_ideal(lat, q)
 
 
 # -- violation predicates ----------------------------------------------------
@@ -129,25 +122,22 @@ def _companion_closure_violation(lat, cfg):
     ok0, w0 = is_0_distributive(lat)
     if ok0:
         return None
-    for factors, desc in _factor_variants(lat, cfg):
+    for factors in _factor_variants(lat, cfg):
         qm = canonical(lat, factors)
         for p in range(qm.size):
             mask = principal_perp(qm, p)
             holds, witness = is_subquasimodule(qm, mask)
             if not holds:
-                return {
-                    "lattice": format_lattice(lat),
-                    "factors": list(desc),
-                    "companion_of": [list(qm.vector_labels(p))],
-                    "companion": [list(v) for v in qm.label_sets(mask)],
-                    "violation": violation_labels(qm, witness),
-                    "zero_distributivity_witness": [lat.names[e] for e in w0],
-                }
+                return witness_doc(
+                    qm, companion_of=set_labels(qm, 1 << p),
+                    companion=set_labels(qm, mask),
+                    violation=violation_labels(qm, witness),
+                    zero_distributivity_witness=[lat.names[e] for e in w0])
     return None
 
 
 def _closed_not_splitting_violation(lat, cfg):
-    for factors, desc in _factor_variants(lat, cfg):
+    for factors in _factor_variants(lat, cfg):
         qm = canonical(lat, factors)
         for mask in sorted(closed_sets(qm), key=bit_key):
             holds, _ = is_subquasimodule(qm, mask)
@@ -156,13 +146,9 @@ def _closed_not_splitting_violation(lat, cfg):
             if not is_splitting(qm, SubQM(qm, mask)):
                 companion = perp(qm, mask)
                 missing = qm.full_mask & ~sum_set(qm, mask, companion)
-                return {
-                    "lattice": format_lattice(lat),
-                    "factors": list(desc),
-                    "closed_set": [list(v) for v in qm.label_sets(mask)],
-                    "companion": [list(v) for v in qm.label_sets(companion)],
-                    "missing": [list(v) for v in qm.label_sets(missing)],
-                }
+                return witness_doc(qm, closed_set=set_labels(qm, mask),
+                                   companion=set_labels(qm, companion),
+                                   missing=set_labels(qm, missing))
     return None
 
 
@@ -203,15 +189,16 @@ def counterexample_search(cfg):
         budgets = Budgets(seed=cfg.seed, random_subsets=200, random_pairs=300,
                           family_samples=60, sampled_closures=80)
         for lat in _generate_lattices(cfg):
-            for factors, desc in _factor_variants(lat, cfg):
+            for factors in _factor_variants(lat, cfg):
                 qm = canonical(lat, factors)
-                label = f"{lat.n}-element lattice x ({', '.join(desc)})"
+                desc = ", ".join(factor_descriptor(lat, f) for f in factors)
+                label = f"{lat.n}-element lattice x ({desc})"
                 for rep in check_all(qm, budgets, instance=label):
                     if rep.status == FAIL:
                         reports.append(rep)
         return reports
     lattices = list(_generate_lattices(cfg))
-    for hyp in cfg.drop_hypotheses:
+    for hyp in dict.fromkeys(cfg.drop_hypotheses):
         clause, predicate = _PREDICATES[hyp]
         fn = lambda lat, _p=predicate: _p(lat, cfg)
         for lat in lattices:

@@ -146,6 +146,23 @@ def test_export_dot_lattice(files, capsys):
     assert out2 == out
 
 
+def test_export_dot_lattice_reports_the_lattice_parse_error(files, capsys):
+    # a file that opens with an `elements:` header is a lattice file: its
+    # error is the lattice parser's, not the quasimodule parser's
+    bad = files / "typo.lat"
+    bad.write_text("# a typo on line 3\nelements: 0 a 1\na <= zz\n0 <= a\n")
+    code = main(["export", "dot", str(bad), "--which", "lattice"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {bad}:3: unknown element label 'zz'\n"
+    # a quasimodule spec still goes to the quasimodule parser
+    code = main(["export", "dot", str(files / "ex1.qm"), "--which", "lattice"])
+    assert code == 0 and capsys.readouterr().out.count("->") == 5
+    (files / "typo.qm").write_text("lattice: n5.lat\nfactor: principal zz\n")
+    code = main(["export", "dot", str(files / "typo.qm"), "--which", "lattice"])
+    assert code == 2 and "typo.qm:2" in capsys.readouterr().err
+
+
 def test_export_dot_closed(files, capsys, tmp_path):
     code, out = run(capsys, "export", "dot", files / "ex1.qm", "--which", "closed")
     assert code == 0
@@ -193,6 +210,24 @@ def test_verify_search_cli(capsys, tmp_path, monkeypatch):
                     "--no-report")
     assert code == 0
     assert "no findings" in out
+
+
+def test_repeated_drop_runs_one_hunt(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = {}
+    for drops in (["closed-is-splitting"], ["closed-is-splitting"] * 2,
+                  ["closed-is-splitting", "0-distributive", "closed-is-splitting"]):
+        argv = ["verify", "--search", "--max-size", "5"]
+        for hyp in drops:
+            argv += ["--drop", hyp]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        records = [json.loads(l) for l in
+                   (tmp_path / "quasimod-report.jsonl").read_text().splitlines()]
+        runs[len(drops)] = out, [r["clause"] for r in records]
+    assert runs[1][1] == ["closed-not-splitting"]
+    assert runs[2] == runs[1]
+    assert runs[3][1] == ["closed-not-splitting", "prop2"]
 
 
 def test_unknown_flag_rejected(files):

@@ -319,9 +319,9 @@ def test_closed_sets_match_singleton_closure_on_small_lattices():
     cases = 0
     for n in range(1, 6):
         for lat in _exhaustive_lattices(n):
-            for factors, desc in _factor_variants(lat, cfg):
+            for factors in _factor_variants(lat, cfg):
                 qm = canonical(lat, factors)
-                assert closed_sets(qm) == singleton_closure(qm), (lat.up, desc)
+                assert closed_sets(qm) == singleton_closure(qm), (lat.up, factors)
                 cases += 1
     assert cases == 61
 

@@ -1,8 +1,9 @@
 import gc
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasimodules import (
     SubQM,
@@ -20,9 +21,8 @@ from quasimodules import (
 from quasimodules import galois
 from quasimodules.errors import NotZeroDistributive, UnknownInstance
 from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConfig
-from quasimodules.verify import laws
+from quasimodules.verify import laws, search
 from quasimodules.verify.instances import is_boolean_shape
-from quasimodules.verify.laws import covering_pairs
 
 from conftest import qm_from
 
@@ -215,6 +215,35 @@ def test_fail_reports_replay_through_library(m3):
     assert not ok and witness is not None
 
 
+def test_soundness_findings_name_their_instance(monkeypatch):
+    # the instance label is derived from the factor ideals
+    monkeypatch.setattr(search, "check_all",
+                        lambda qm, budgets, instance: [laws.TheoremReport("x", FAIL, instance)])
+    labels = [r.instance for r in counterexample_search(SearchConfig(max_lattice_size=2))]
+    assert labels == ["1-element lattice x (principal e0)",
+                      "1-element lattice x (principal e0, principal e0)",
+                      "2-element lattice x (principal e1)",
+                      "2-element lattice x (principal e1, principal e0)",
+                      "2-element lattice x (principal e1, principal e1)"]
+
+
+@pytest.mark.parametrize("lattice, gens", [("n5", ["*", "a"]), ("m3", ["*", "b"]),
+                                           ("chain_4", ["2", "*", "0"])])
+def test_witness_doc_rebuilds_the_instance(lattice, gens):
+    from quasimodules import parse_lattice
+    from quasimodules.verify.laws import _parse_factor
+
+    qm = qm_from(lattice, gens)
+    doc = laws.witness_doc(qm, subset=laws.set_labels(qm, 0b1011))
+    lat = parse_lattice(doc["lattice"])
+    again = canonical(lat, tuple(_parse_factor(lat, d) for d in doc["factors"]))
+    assert doc["factors"] == [f"principal {g if g != '*' else lat.names[lat.top]}"
+                              for g in gens]
+    assert [again.vector_labels(p) for p in range(again.size)] == \
+        [qm.vector_labels(p) for p in range(qm.size)]
+    assert doc["subset"] == [list(qm.vector_labels(p)) for p in (0, 1, 3)]
+
+
 def test_check_homomorphism_two_big_factors(fig5_qm):
     report = check_homomorphism(fig5_qm, instance="fig5 x fig5")
     assert report.status in (PASS, HYP)
@@ -222,7 +251,7 @@ def test_check_homomorphism_two_big_factors(fig5_qm):
         assert report.witness is not None
 
 
-# -- the covering pool of the pair clauses -----------------------------------
+# -- the pair clauses on the generator pairs ----------------------------------
 #
 # The scans below are the oracle: each says whether its clause holds on a
 # companion table `tab` over the given pairs of subset masks, and over all
@@ -231,6 +260,14 @@ def test_check_homomorphism_two_big_factors(fig5_qm):
 def all_pairs(m):
     n = 1 << m
     return [(a, b) for a in range(n) for b in range(n)]
+
+
+def generator_pairs(m):
+    """The pairs the pair clauses scan up to 10 positions, where
+    `_Ctx.pair_pool` reads nothing of the context but m."""
+    pairs, note = laws._Ctx.pair_pool(SimpleNamespace(m=m))
+    assert note is None
+    return list(pairs)
 
 
 def scan_rem1_ii(tab, pairs):
@@ -255,14 +292,11 @@ SCANS = dict(zip(PAIR_CLAUSES, (scan_rem1_ii, scan_rem1_iv, scan_lem4_i, scan_le
 
 @st.composite
 def companion_tables(draw):
-    """(tab, m, full) with m <= 6. Mostly tables built as perp(0) AND the
-    singletons, the way a companion table is, with the singleton relation
-    symmetrized or not and perp(0) the carrier or not, then maybe one entry
-    flipped; otherwise an arbitrary table (which nearly always fails)."""
+    """(tab, m, full) with m <= 6, built the way every companion table is:
+    perp(0) AND the singleton companions of the members, with the singleton
+    relation symmetrized or not and perp(0) the carrier or not."""
     m = draw(st.integers(1, 6))
     full = (1 << m) - 1
-    if draw(st.integers(0, 4)) == 0:
-        return [draw(st.integers(0, full)) for _ in range(1 << m)], m, full
     singles = [draw(st.integers(0, full)) for _ in range(m)]
     if draw(st.booleans()):
         for p in range(m):
@@ -275,22 +309,15 @@ def companion_tables(draw):
     for b in range(1, 1 << m):
         low = b & -b
         tab.append(tab[b ^ low] & singles[low.bit_length() - 1])
-    if draw(st.booleans()):
-        tab[draw(st.integers(0, full))] ^= 1 << draw(st.integers(0, m - 1))
     return tab, m, full
 
 
-# Tables the strategy rarely draws, each decided wrongly by a pool that lacks
-# one kind of pair: without (a, {p}) lem4.i passes on the first, without
-# (perp(a), a) rem1.iv passes on the second, without (a, perp(b)) on the third.
-@example(([3, 1, 3, 0], 2, 0b11))
-@example(([7, 1, 6, 0, 2, 0, 2, 4], 3, 0b111))
-@example(([15, 8, 8, 8, 12, 8, 8, 8, 15, 8, 8, 8, 12, 0, 8, 8], 4, 0b1111))
 @given(companion_tables())
 @settings(max_examples=300, deadline=None)
 def test_covering_steps_match_pair_scans(table):
+    # the generator pairs decide each pair clause exactly on a meet table
     tab, m, _ = table
-    pool = list(covering_pairs(tab, m))
+    pool = generator_pairs(m)
     pairs = all_pairs(m)
     for clause, scan in SCANS.items():
         assert scan(tab, pool) == scan(tab, pairs), clause
@@ -302,12 +329,12 @@ def test_rem1_iv_needs_perp_of_empty_set_to_be_the_carrier():
     tab, m = [0b01, 0b01, 0b00, 0b00], 2
     assert scan_lem4_i(tab, all_pairs(m))
     assert not scan_rem1_iv(tab, all_pairs(m))
-    assert not scan_rem1_iv(tab, covering_pairs(tab, m))
+    assert not scan_rem1_iv(tab, generator_pairs(m))
 
 
 def _records(qm, monkeypatch, scans):
     """check_all records without timings; with `scans`, the pair clauses
-    quantify over all 4^m pairs instead of the covering pool."""
+    quantify over all 4^m pairs instead of the generator pairs."""
     with monkeypatch.context() as patch:
         if scans:
             patch.setattr(laws._Ctx, "pair_pool",
@@ -316,17 +343,6 @@ def _records(qm, monkeypatch, scans):
     for r in records:
         r.pop("seconds")
     return records
-
-
-def _flip_one_entry(monkeypatch):
-    real = laws._companion_table
-
-    def flipped(qm):
-        tab = real(qm)
-        tab[0b11] ^= 1 << 2
-        return tab
-
-    monkeypatch.setattr(laws, "_companion_table", flipped)
 
 
 def _witness_pair(qm, witness):
@@ -340,7 +356,13 @@ def _witness_pair(qm, witness):
 def test_covering_steps_keep_pair_scan_records(case, ex1_qm, m3_qm, monkeypatch):
     qm = m3_qm if case == "m3" else ex1_qm
     if case == "ex1-flipped":
-        _flip_one_entry(monkeypatch)
+        # put (1,a), the last position, into the companion of (a,a) but not
+        # (a,a) into that of (1,a): an asymmetric singleton relation, which
+        # the generator pairs can only see through the last singleton
+        p, q = qm.vector("a", "a"), qm.vector("1", "a")
+        assert q == qm.size - 1
+        qm._pperp[p] = principal_perp(qm, p) | 1 << q
+        assert not principal_perp(qm, q) >> p & 1
     new = _records(qm, monkeypatch, scans=False)
     old = _records(qm, monkeypatch, scans=True)
     statuses = {r["clause"]: r["status"] for r in new}
@@ -350,14 +372,14 @@ def test_covering_steps_keep_pair_scan_records(case, ex1_qm, m3_qm, monkeypatch)
         if case == "m3":
             assert statuses["prop2"] == HYP
         return
-    # a failing pair clause may name another violating pair than the scan
-    assert [r["status"] for r in new] == [r["status"] for r in old]
-    failed = [c for c in PAIR_CLAUSES if statuses[c] == FAIL]
-    assert failed and all(r["witness"] for r in new if r["status"] == FAIL)
+    # only rem1.iv fails among the pair clauses, and it may name another
+    # violating pair than the scan
+    assert [statuses[c] for c in PAIR_CLAUSES] == [PASS, FAIL, PASS, PASS]
     tab = laws._companion_table(qm)
     for r, o in zip(new, old):
-        if r["clause"] in failed:
-            assert not SCANS[r["clause"]](tab, [_witness_pair(qm, r["witness"])])
+        if r["clause"] == "rem1.iv":
+            assert o["status"] == FAIL
+            assert not scan_rem1_iv(tab, [_witness_pair(qm, r["witness"])])
             r, o = dict(r, witness=None), dict(o, witness=None)
         assert r == o
 
@@ -422,6 +444,29 @@ def test_lem1_on_generators_keeps_subset_walk_records(name):
         assert (got[2] is None) == (size <= 16)
 
 
+def old_family_check(ctx, law):
+    """The former family re-check of lem4.i and lem4.ii, kept as an oracle:
+    seeded families of 3-4 members drawn from the subset pool."""
+    pool, _ = ctx.subset_pool
+    rng = random.Random(ctx.b.seed + 6)
+    return all(law(fam) for fam in laws._families(rng, list(pool), ctx.b.family_samples))
+
+
+@pytest.mark.parametrize("name", sorted(COMPANION_INSTANCES))
+def test_family_laws_hold_where_the_pair_laws_hold(name):
+    # lem4.i and lem4.ii for families follow from their pair forms by
+    # induction on family size, so the former family re-check passes
+    qm = qm_from(*COMPANION_INSTANCES[name])
+    ctx = laws._Ctx(qm, Budgets(), name)
+    assert laws._c_lem4_i(ctx)[0] == laws._c_lem4_ii(ctx)[0] == PASS
+    assert old_family_check(
+        ctx, lambda fam: laws._intersect(ctx.perp[x] for x in fam)
+        == ctx.perp[laws._union(fam)])
+    assert old_family_check(
+        ctx, lambda fam: ctx.dd_of(laws._intersect(fam))
+        & ~laws._intersect(ctx.dd_of(x) for x in fam) == 0)
+
+
 @pytest.mark.parametrize("lattice, gens", [("n5", ["*", "a"]), ("m3", ["*", "a"]),
                                            ("chain_4", ["*", "*"]),
                                            ("boolean_2", ["*", "a"]), ("n5", ["*", "*"])])
@@ -441,11 +486,11 @@ def test_companion_table_matches_perp(lattice, gens):
 # -- sampled pair pool, yielded lazily ----------------------------------------
 
 def old_pair_pool(ctx):
-    """The former pair pool, kept as the oracle: the covering pairs up to 10
+    """The former pair pool, kept as the oracle: all 4^m pairs up to 10
     vectors; beyond, one list of every subquasimodule pair, the seeded pairs
     and the three fixed sets against the first 64 pool subsets."""
     if ctx.m <= 10:
-        return covering_pairs(ctx.perp, ctx.m), None
+        return all_pairs(ctx.m), None
     base, _ = ctx.subset_pool
     base = list(base)
     nodes = list(ctx.subs.nodes) if ctx.subs is not None else []
@@ -459,7 +504,7 @@ def old_pair_pool(ctx):
     return pairs, note
 
 
-# ex1 (10 vectors, covering pool), chain_4^2 (16), N5^2 (25) and fig5^2
+# ex1 (10 vectors, generator pairs), chain_4^2 (16), N5^2 (25) and fig5^2
 # (36 vectors, 696 subquasimodules)
 PAIR_POOL_INSTANCES = {"ex1": ("n5", ["*", "a"]), "chain4sq": ("chain_4", ["*", "*"]),
                        "n5sq": ("n5", ["*", "*"]), "fig5sq": ("fig5", ["*", "*"])}
