@@ -433,9 +433,8 @@ def read_lattice_file(path):
     return parse_lattice(read_text(path), source=str(path))
 
 
-def load_lattice(ref, base_dir="."):
-    """Resolve a lattice reference: 'builtin:NAME' or a file path."""
+def load_lattice(ref, base_dir=None):
+    """Resolve 'builtin:NAME', or a file path, joined to base_dir if given."""
     if ref.startswith("builtin:"):
         return builtin(ref[len("builtin:"):])
-    path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-    return read_lattice_file(path)
+    return read_lattice_file(os.path.join(base_dir or "", ref))

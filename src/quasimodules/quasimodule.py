@@ -445,7 +445,7 @@ def _check_shape(m):
 #   factor: principal a
 #   factor: set 0 a c
 
-def parse_qm(text, base_dir=".", source="<qm>"):
+def parse_qm(text, base_dir=None, source="<qm>"):
     lattice = None
     factor_specs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,18 +1,17 @@
 """The law suite: one check per registered clause, run by `check_all`.
 
 Clauses whose hypotheses the instance does not meet (for example
-0-distributive factors) report `hypothesis-not-met`, never failure.
-Quantifiers follow explicit budgets: subset-quantified clauses are
-exhaustive up to a carrier-size threshold and sampled (all subquasimodules
-plus seeded random subsets) beyond it. The companion table is the meet of the
-singleton companions, so a law of meets over members is decided on the
-generators: the empty set and the singletons. Pair-quantified clauses scan
-every pair of generators up to a smaller threshold, which decides them
-exactly, and sampled pairs beyond it; their family forms follow from the
-pair forms by induction on family size. `lem1` compares two maps that both
-turn unions into intersections, so it is decided on the generators at every
-size; beyond the subset threshold its note still names the sampled pool. Any
-restriction is stamped into the report note.
+0-distributive factors) report `hypothesis-not-met`, never failure. Every
+companion is the meet of the singleton companions of its members (Ore,
+"Galois connexions", 1944), so the laws are decided on generating sets.
+Subset clauses walk the empty set, the singletons and the pairs {zero, q}
+up to a carrier-size threshold, and beyond it a sampled pool that holds the
+singletons, which decide all of them but `lem4.iv`. `rem1.iii`, `th2.i` and
+`th2.ii` read the companion family and the closed nodes. Pair clauses scan
+the pairs of generators up to a smaller threshold, exactly, and sampled
+pairs beyond it; their family forms follow by induction on family size.
+`lem1` is decided on the generators at every size. Beyond the thresholds
+the notes still name the sampled pools: any restriction is stamped there.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from functools import cached_property
 from itertools import chain, combinations, product as iproduct
 from time import perf_counter
 
-from ..bitset import bit_key, iter_bits, mask_of
+from ..bitset import iter_bits, mask_of
 from ..errors import EnumerationBudgetExceeded
 from ..galois import (
     closed_lattice_iso,
@@ -99,7 +98,7 @@ class _Ctx:
         self.m = qm.size
         self.full = qm.full_mask
         self.zmask = 1 << qm.zero
-        self.perp = _companion_table(qm)
+        self.perp = _PerpCache(qm)
         self._close_cache = {}
         self._subqm_cache = {}
         self.zd_defect = zero_distributivity_defect(qm)
@@ -153,6 +152,18 @@ class _Ctx:
 
     # -- companion machinery ---------------------------------------------------
 
+    @cached_property
+    def companions(self):
+        """Every value of perp, each mapped to a subset that has it: perp(0),
+        then one position at a time the meets with its singleton companion,
+        as perp(a | {p}) = perp(a) & perp({p})."""
+        out = {self.perp[0]: 0}
+        for p in range(self.m):
+            single = self.perp[1 << p]
+            for c, a in list(out.items()):
+                out.setdefault(c & single, a | 1 << p)
+        return out
+
     def dd_of(self, mask):
         return self.perp[self.perp[mask]]
 
@@ -174,9 +185,14 @@ class _Ctx:
 
     @cached_property
     def subset_pool(self):
-        """(masks, note) quantifying 'for all subsets' clauses."""
+        """(masks, note) quantifying 'for all subsets' clauses. Up to
+        _EXHAUSTIVE_SUBSET_BITS positions: the generators and the pairs
+        {zero, q}, ascending. A set fails rem1.i, prop2 or th2.i iff a
+        singleton in it does, and lem4.iv iff a singleton or a pair {zero, q}
+        in it does, so the first failure is that of a walk over all subsets."""
         if self.m <= _EXHAUSTIVE_SUBSET_BITS:
-            return range(1 << self.m), None
+            pairs = (self.zmask | 1 << q for q in range(self.m))
+            return sorted({*generators(self.m), *pairs}), None
         note = (f"sampled: subquasimodules, singletons and "
                 f"{self.b.random_subsets} seeded subsets")
         return self.sampled_pool(self.b.random_subsets, 2), note
@@ -184,13 +200,12 @@ class _Ctx:
     def pair_pool(self):
         """(pairs, note) quantifying 'for all pairs of subsets' clauses,
         yielded one at a time. Up to _EXHAUSTIVE_PAIR_BITS positions: every
-        pair of generators. That is exact: on a meet of singleton companions
+        pair of generators, which is exact on a meet of singleton companions:
         perp is antitone, turns unions into meets and makes dd monotone, and
         rem1.iv holds iff perp(0) is the carrier and the singleton relation
-        is symmetric (Ore, "Galois connexions", 1944), which the pairs
-        (0, {q}) and ({p}, {q}) decide. Beyond: every subquasimodule pair,
-        seeded pairs, then the empty set, {zero} and the carrier against the
-        first 64 pool subsets."""
+        is symmetric, which the pairs (0, {q}) and ({p}, {q}) decide. Beyond:
+        every subquasimodule pair, seeded pairs, then the empty set, {zero}
+        and the carrier against the first 64 pool subsets."""
         if self.m <= _EXHAUSTIVE_PAIR_BITS:
             return iproduct(generators(self.m), repeat=2), None
         base, _ = self.subset_pool
@@ -205,9 +220,7 @@ class _Ctx:
     def sampled_pool(self, count, seed_offset):
         """Sorted pool: empty set, {zero}, carrier, singletons, every
         subquasimodule if enumerable, and `count` seeded random subsets."""
-        pool = {0, self.zmask, self.full}
-        for p in range(self.m):
-            pool.add(1 << p)
+        pool = {self.zmask, self.full, *generators(self.m)}
         if self.subs is not None:
             pool.update(self.subs.nodes)
         rng = random.Random(self.b.seed + seed_offset)
@@ -270,7 +283,7 @@ def _parse_factor(lattice, desc):
 
 
 # --------------------------------------------------------------------------
-# companion table
+# companion map
 
 def generators(m):
     """The empty set and the m singletons, as masks: every subset is a union
@@ -279,31 +292,21 @@ def generators(m):
 
 
 class _PerpCache(dict):
-    """perp(qm, mask) by mask, computed on first lookup."""
+    """Companions by mask, computed on first lookup as the AND of the
+    singleton companions of the members. Not galois.perp, which stops once
+    the meet is {zero}: that assumes zero is orthogonal to every vector, a
+    law this suite checks."""
 
     def __init__(self, qm):
         super().__init__()
         self.qm = qm
 
     def __missing__(self, mask):
-        value = self[mask] = perp(self.qm, mask)
+        value = self.qm.full_mask
+        for p in iter_bits(mask):
+            value &= principal_perp(self.qm, p)
+        self[mask] = value
         return value
-
-
-def _companion_table(qm):
-    """perp(qm, mask) indexed by mask: a 2^m list built from the singleton
-    companions up to _EXHAUSTIVE_SUBSET_BITS positions, a `_PerpCache`
-    beyond that."""
-    m = qm.size
-    if m > _EXHAUSTIVE_SUBSET_BITS:
-        return _PerpCache(qm)
-    singles = [principal_perp(qm, p) for p in range(m)]
-    tab = [0] * (1 << m)
-    tab[0] = qm.full_mask
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        tab[mask] = tab[mask ^ low] & singles[low.bit_length() - 1]
-    return tab
 
 
 # --------------------------------------------------------------------------
@@ -337,10 +340,9 @@ def _c_rem1_ii(ctx):
 
 
 def _c_rem1_iii(ctx):
-    pool, note = ctx.subset_pool
-    for a in pool:
-        pa = ctx.perp[a]
-        if ctx.perp[ctx.perp[pa]] != pa:
+    _, note = ctx.subset_pool
+    for c, a in ctx.companions.items():
+        if ctx.dd_of(c) != c:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
     return PASS, None, note
 
@@ -410,21 +412,17 @@ def _c_separation(ctx):
 
 def _c_prop2(ctx):
     pool, note = ctx.subset_pool
-    if ctx.zd_defect is not None:
-        hyp_note = str(ctx.zd_defect)
-        for a in pool:
-            ok, witness = ctx.subqm_of(ctx.perp[a])
-            if not ok:
-                return HYP, ctx.doc(
-                    subset=ctx.labels(a),
-                    companion=ctx.labels(ctx.perp[a]),
-                    violation=violation_labels(ctx.qm, witness)), hyp_note
-        return HYP, None, hyp_note + "; no companion-closure violation in the pool"
+    defect = ctx.zd_defect
     for a in pool:
         ok, witness = ctx.subqm_of(ctx.perp[a])
         if not ok:
-            return FAIL, ctx.doc(subset=ctx.labels(a),
-                                 violation=violation_labels(ctx.qm, witness)), note
+            violation = violation_labels(ctx.qm, witness)
+            if defect is None:
+                return FAIL, ctx.doc(subset=ctx.labels(a), violation=violation), note
+            return HYP, ctx.doc(subset=ctx.labels(a), companion=ctx.labels(ctx.perp[a]),
+                                violation=violation), str(defect)
+    if defect is not None:
+        return HYP, None, f"{defect}; no companion-closure violation in the pool"
     return PASS, None, note
 
 
@@ -439,31 +437,31 @@ def _hyp_guard(fn):
 
 @_hyp_guard
 def _c_th2_i(ctx):
-    nodes = set(ctx.closed.nodes)
+    index = ctx.closed.base.index
     pool, note = ctx.subset_pool
-    seen = set()
     for a in pool:
         pa = ctx.perp[a]
-        seen.add(pa)
-        if pa not in nodes:
+        if pa not in index:
             return FAIL, ctx.doc(subset=ctx.labels(a), companion=ctx.labels(pa)), note
-    if note is None and seen != nodes:
-        missing = sorted(nodes - seen, key=bit_key)[0]
-        return FAIL, ctx.doc(closed_not_a_companion=ctx.labels(missing)), note
+    for n in ctx.closed.nodes:
+        if n not in ctx.companions:
+            return FAIL, ctx.doc(closed_not_a_companion=ctx.labels(n)), note
     return PASS, None, note
 
 
 @_hyp_guard
 def _c_th2_ii(ctx):
-    nodes = ctx.closed.nodes
+    # That dd(a) lies in every closed n holding a needs no check: once every
+    # a lies in dd(a), dd fixes every companion, the closed nodes included,
+    # and dd is monotone.
+    index = ctx.closed.base.index
     pool, note = ctx.subset_pool
     for a in pool:
-        dd = ctx.dd_of(a)
-        if a & ~dd or dd not in ctx.closed.base.index:
+        if a & ~ctx.dd_of(a):
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
-        for n in nodes:
-            if a & ~n == 0 and dd & ~n:
-                return FAIL, ctx.doc(subset=ctx.labels(a), smaller_closed=ctx.labels(n)), note
+    for c, a in ctx.companions.items():
+        if ctx.perp[c] not in index:
+            return FAIL, ctx.doc(subset=ctx.labels(a)), note
     return PASS, None, note
 
 
@@ -475,10 +473,12 @@ def _c_th2_iii(ctx):
             join = ctx.dd_of(a | b)
             if join not in ctx.closed.base.index or (a | b) & ~join:
                 return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), None
-            for n in nodes:
-                if (a | b) & ~n == 0 and join & ~n:
-                    return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b),
-                                         upper=ctx.labels(n)), None
+    # dd is monotone, so dd(a | b) lies in every closed n holding a | b iff
+    # dd(n) lies in n for every closed n
+    for n in nodes:
+        if ctx.dd_of(n) & ~n:
+            label = ctx.labels(n)
+            return FAIL, ctx.doc(first=label, second=label, upper=label), None
     if ctx.dd_of(_union(nodes)) != ctx.full:
         return FAIL, ctx.doc(family="all closed"), None
     return PASS, None, None
@@ -674,8 +674,8 @@ def _families(rng, pool, count):
 def _orthogonal_sets(ctx, max_size):
     """Pairwise orthogonal position tuples of 1..max_size members, ascending,
     in depth-first order. Uses an explicit stack: a recursive closure over
-    the context is a reference cycle that keeps the context (and its 2^m
-    table) alive until the cycle collector runs."""
+    the context is a reference cycle that keeps the context (and its companion
+    cache) alive until the cycle collector runs."""
     qm = ctx.qm
     out = []
     pairs_ok = [[qm.orthogonal(p, q) for q in range(ctx.m)] for p in range(ctx.m)]

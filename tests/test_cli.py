@@ -63,6 +63,24 @@ def test_parse_error_exit_code(files, capsys):
     assert "bad.lat:2" in capsys.readouterr().err
 
 
+def test_relative_paths_are_named_as_given(files, capsys, monkeypatch):
+    # a lattice path from the command line is read as given, from the
+    # working directory; one inside a spec file from the spec's directory
+    monkeypatch.chdir(files)
+    assert main(["lattice", "check", "bad.lat"]) == 2
+    assert capsys.readouterr().err == "error: bad.lat:2: expected 'X <= Y', got 'a < b'\n"
+    (files / "specs").mkdir()
+    (files / "specs" / "five.lat").write_text(format_lattice(builtin("n5")))
+    (files / "specs" / "bad.lat").write_text("elements: a b\na < b\n")
+    (files / "specs" / "ex1.qm").write_text("lattice: five.lat\nfactor: principal a\n")
+    (files / "specs" / "bad.qm").write_text("lattice: bad.lat\nfactor: principal b\n")
+    assert main(["qm", "subs", "specs/ex1.qm"]) == 0
+    capsys.readouterr()
+    assert main(["qm", "subs", "specs/bad.qm"]) == 2
+    bad = files / "specs" / "bad.lat"
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+
+
 @pytest.mark.parametrize("argv, name", [
     (["qm", "closed"], "bad.qm"),
     (["lattice", "check"], "bad.lat"),

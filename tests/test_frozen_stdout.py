@@ -1,0 +1,42 @@
+"""The benchmark's CLI jobs reproduce their frozen output.
+
+Each CLI job of perfbench/workloads.json runs at seed 0 as a child
+interpreter, and its exit code and stdout sha256 must equal those in
+perfbench/expected.json. Only those two files are read. The child runs in a
+temporary directory that holds a `perfbench` link to the repository's, so
+the job paths resolve and report files land outside the checkout.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+CLI_PROGRAM = "import sys; from quasimodules.cli import main; sys.exit(main())"
+
+
+def load(name):
+    with open(os.path.join(PERFBENCH, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+CLI_JOBS = [job for workload in load("workloads.json").values()
+            for job in workload["jobs"] if job["kind"] == "cli"]
+
+
+@pytest.mark.parametrize("job", CLI_JOBS, ids=[job["id"] for job in CLI_JOBS])
+def test_cli_job_reproduces_frozen_stdout(job, tmp_path):
+    os.symlink(PERFBENCH, tmp_path / "perfbench")
+    # the search jobs are the only ones that take the seed
+    argv = job["argv"] + (["--seed", "0"] if "search" in job else [])
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([sys.executable, "-c", CLI_PROGRAM, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, timeout=120)
+    want = load("expected.json")[job["id"]]
+    assert proc.returncode == want["exit"], proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == want["stdout_sha256"]

@@ -19,7 +19,8 @@ from quasimodules import (
     replay_witness,
 )
 from quasimodules import galois
-from quasimodules.errors import NotZeroDistributive, UnknownInstance
+from quasimodules.bitset import bit_key
+from quasimodules.errors import Error, NotZeroDistributive, UnknownInstance
 from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConfig
 from quasimodules.verify import laws, search
 from quasimodules.verify.instances import is_boolean_shape
@@ -67,7 +68,7 @@ def test_zero_distributivity_tested_once_per_context(m3_qm, monkeypatch):
 
 
 def test_check_all_leaves_no_reference_cycles(ex1_qm):
-    # a cycle through the context would hold its 2^m companion table until
+    # a cycle through the context would hold its companion cache until
     # the cycle collector runs, which raises the peak memory of a search
     gc.collect()
     gc.disable()
@@ -345,11 +346,27 @@ def _records(qm, monkeypatch, scans):
     return records
 
 
+def meet_table(qm):
+    """The former 2^m companion table, kept as the oracle: perp by mask, each
+    entry the one without its lowest member AND that member's companion."""
+    singles = [principal_perp(qm, p) for p in range(qm.size)]
+    tab = [qm.full_mask]
+    for mask in range(1, 1 << qm.size):
+        low = mask & -mask
+        tab.append(tab[mask ^ low] & singles[low.bit_length() - 1])
+    return tab
+
+
+def _mask(qm, labels):
+    """The subset mask a witness names by its vector labels."""
+    position = {tuple(qm.vector_labels(p)): p for p in range(qm.size)}
+    return sum(1 << position[tuple(v)] for v in labels)
+
+
 def _witness_pair(qm, witness):
     """The two subset masks a pair-clause witness names, from their labels."""
-    position = {tuple(qm.vector_labels(p)): p for p in range(qm.size)}
     keys = ("smaller", "larger") if "smaller" in witness else ("first", "second")
-    return tuple(sum(1 << position[tuple(v)] for v in witness[k]) for k in keys)
+    return tuple(_mask(qm, witness[k]) for k in keys)
 
 
 @pytest.mark.parametrize("case", ["ex1", "m3", "ex1-flipped"])
@@ -375,7 +392,7 @@ def test_covering_steps_keep_pair_scan_records(case, ex1_qm, m3_qm, monkeypatch)
     # only rem1.iv fails among the pair clauses, and it may name another
     # violating pair than the scan
     assert [statuses[c] for c in PAIR_CLAUSES] == [PASS, FAIL, PASS, PASS]
-    tab = laws._companion_table(qm)
+    tab = meet_table(qm)
     for r, o in zip(new, old):
         if r["clause"] == "rem1.iv":
             assert o["status"] == FAIL
@@ -394,6 +411,7 @@ def old_lem1(ctx):
     pool, note = ctx.subset_pool
     fqms = [qm.factor_qm(i) for i in range(k)]
     if note is None:
+        pool = range(1 << ctx.m)
         proj = [[0] * (1 << ctx.m) for _ in range(k)]
         for i, row in enumerate(proj):
             for mask in range(1, 1 << ctx.m):
@@ -446,8 +464,11 @@ def test_lem1_on_generators_keeps_subset_walk_records(name):
 
 def old_family_check(ctx, law):
     """The former family re-check of lem4.i and lem4.ii, kept as an oracle:
-    seeded families of 3-4 members drawn from the subset pool."""
-    pool, _ = ctx.subset_pool
+    seeded families of 3-4 members drawn from every subset up to 16
+    vectors, from the sampled subset pool beyond."""
+    pool, note = ctx.subset_pool
+    if note is None:
+        pool = range(1 << ctx.m)
     rng = random.Random(ctx.b.seed + 6)
     return all(law(fam) for fam in laws._families(rng, list(pool), ctx.b.family_samples))
 
@@ -471,16 +492,230 @@ def test_family_laws_hold_where_the_pair_laws_hold(name):
                                            ("chain_4", ["*", "*"]),
                                            ("boolean_2", ["*", "a"]), ("n5", ["*", "*"])])
 def test_companion_table_matches_perp(lattice, gens):
+    # every mask up to 16 vectors against the meet table, sampled beyond
     qm = qm_from(lattice, gens)
-    tab = laws._companion_table(qm)
+    cache = laws._Ctx(qm, Budgets(), "x").perp
+    assert isinstance(cache, laws._PerpCache)
     if qm.size <= 16:
-        masks = range(1 << qm.size)
+        masks, want = range(1 << qm.size), meet_table(qm)
     else:
-        assert isinstance(tab, laws._PerpCache)
         rng = random.Random(0)
         masks = [0, qm.full_mask, *(rng.getrandbits(qm.size) for _ in range(300))]
+        want = {a: perp(qm, a) for a in masks}
     for a in masks:
-        assert tab[a] == perp(qm, a), a
+        assert cache[a] == want[a], a
+
+
+# -- subset clauses on the generators and the companion family ----------------
+#
+# The former bodies, kept as the oracle: each walks every subset in
+# ascending order on the 2^m meet table (OldCtx).
+
+class OldCtx(laws._Ctx):
+    def __init__(self, qm):
+        super().__init__(qm, Budgets(), "old")
+        self.perp = meet_table(qm)
+        self.subset_pool = range(1 << self.m), None
+
+
+def old_rem1_i(ctx):
+    pool, note = ctx.subset_pool
+    for a in pool:
+        if a & ~ctx.dd_of(a):
+            return FAIL, ctx.doc(subset=ctx.labels(a)), note
+    return PASS, None, note
+
+
+def old_rem1_iii(ctx):
+    pool, note = ctx.subset_pool
+    for a in pool:
+        pa = ctx.perp[a]
+        if ctx.perp[ctx.perp[pa]] != pa:
+            return FAIL, ctx.doc(subset=ctx.labels(a)), note
+    return PASS, None, note
+
+
+def old_lem4_iv(ctx):
+    pool, note = ctx.subset_pool
+    for a in pool:
+        if a == 0:
+            continue
+        inter = a & ctx.perp[a]
+        if inter & ~ctx.zmask:
+            return FAIL, ctx.doc(subset=ctx.labels(a)), note
+        if a & ctx.zmask and inter != ctx.zmask:
+            return FAIL, ctx.doc(subset=ctx.labels(a)), note
+    return PASS, None, note
+
+
+def old_prop2(ctx):
+    pool, note = ctx.subset_pool
+    if ctx.zd_defect is not None:
+        hyp_note = str(ctx.zd_defect)
+        for a in pool:
+            ok, witness = ctx.subqm_of(ctx.perp[a])
+            if not ok:
+                return HYP, ctx.doc(
+                    subset=ctx.labels(a),
+                    companion=ctx.labels(ctx.perp[a]),
+                    violation=laws.violation_labels(ctx.qm, witness)), hyp_note
+        return HYP, None, hyp_note + "; no companion-closure violation in the pool"
+    for a in pool:
+        ok, witness = ctx.subqm_of(ctx.perp[a])
+        if not ok:
+            return FAIL, ctx.doc(subset=ctx.labels(a),
+                                 violation=laws.violation_labels(ctx.qm, witness)), note
+    return PASS, None, note
+
+
+@laws._hyp_guard
+def old_th2_i(ctx):
+    nodes = set(ctx.closed.nodes)
+    pool, note = ctx.subset_pool
+    seen = set()
+    for a in pool:
+        pa = ctx.perp[a]
+        seen.add(pa)
+        if pa not in nodes:
+            return FAIL, ctx.doc(subset=ctx.labels(a), companion=ctx.labels(pa)), note
+    if note is None and seen != nodes:
+        missing = sorted(nodes - seen, key=bit_key)[0]
+        return FAIL, ctx.doc(closed_not_a_companion=ctx.labels(missing)), note
+    return PASS, None, note
+
+
+@laws._hyp_guard
+def old_th2_ii(ctx):
+    nodes = ctx.closed.nodes
+    pool, note = ctx.subset_pool
+    for a in pool:
+        dd = ctx.dd_of(a)
+        if a & ~dd or dd not in ctx.closed.base.index:
+            return FAIL, ctx.doc(subset=ctx.labels(a)), note
+        for n in nodes:
+            if a & ~n == 0 and dd & ~n:
+                return FAIL, ctx.doc(subset=ctx.labels(a), smaller_closed=ctx.labels(n)), note
+    return PASS, None, note
+
+
+@laws._hyp_guard
+def old_th2_iii(ctx):
+    nodes = ctx.closed.nodes
+    for a in nodes:
+        for b in nodes:
+            join = ctx.dd_of(a | b)
+            if join not in ctx.closed.base.index or (a | b) & ~join:
+                return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), None
+            for n in nodes:
+                if (a | b) & ~n == 0 and join & ~n:
+                    return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b),
+                                         upper=ctx.labels(n)), None
+    if ctx.dd_of(laws._union(nodes)) != ctx.full:
+        return FAIL, ctx.doc(family="all closed"), None
+    return PASS, None, None
+
+
+SUBSET_CLAUSES = {
+    "rem1.i": (laws._c_rem1_i, old_rem1_i),
+    "rem1.iii": (laws._c_rem1_iii, old_rem1_iii),
+    "lem4.iv": (laws._c_lem4_iv, old_lem4_iv),
+    "prop2": (laws._c_prop2, old_prop2),
+    "th2.i": (laws._c_th2_i, old_th2_i),
+    "th2.ii": (laws._c_th2_ii, old_th2_ii),
+    "th2.iii": (laws._c_th2_iii, old_th2_iii),
+}
+
+
+def _outcome(clause, ctx):
+    """(status, witness) of one clause; a library error raised while the
+    closed lattice is built stands in for the status."""
+    try:
+        status, witness, _ = clause(ctx)
+    except Error as exc:
+        return type(exc).__name__, None
+    return status, witness
+
+
+def violates(clause, qm, tab, closed, witness):
+    """True iff a FAIL witness of `clause` violates the law as stated, on
+    the meet table `tab` and the closed node masks `closed`."""
+    def dd(a):
+        return tab[tab[a]]
+
+    w = {k: v if k in ("lattice", "factors", "violation", "family") else _mask(qm, v)
+         for k, v in witness.items()}
+    z = 1 << qm.zero
+    if clause == "rem1.i":
+        return w["subset"] & ~dd(w["subset"]) != 0
+    if clause == "rem1.iii":
+        return dd(tab[w["subset"]]) != tab[w["subset"]]
+    if clause == "lem4.iv":
+        a = w["subset"]
+        inter = a & tab[a]
+        return a != 0 and (inter & ~z != 0 or (a & z != 0 and inter != z))
+    if clause == "prop2":
+        return not is_subquasimodule(qm, tab[w["subset"]])[0]
+    if clause == "th2.i":
+        if "closed_not_a_companion" in w:
+            return w["closed_not_a_companion"] in closed - set(tab)
+        return tab[w["subset"]] not in closed
+    if clause == "th2.ii":
+        a = w["subset"]
+        if "smaller_closed" in w:
+            n = w["smaller_closed"]
+            return n in closed and a & ~n == 0 and dd(a) & ~n != 0
+        return a & ~dd(a) != 0 or dd(a) not in closed
+    if "family" in w:
+        return dd(laws._union(closed)) != qm.full_mask
+    a, b = w["first"], w["second"]
+    join = dd(a | b)
+    if not {a, b} <= closed:
+        return False
+    if "upper" in w:
+        n = w["upper"]
+        return n in closed and (a | b) & ~n == 0 and join & ~n != 0
+    return join not in closed or (a | b) & ~join != 0
+
+
+# ex1, M3 x [0,a] (not 0-distributive), chain_3^2, boolean_2 x [0,a], fig5,
+# chain_4^2 (16 vectors, the largest walked size) and N5 x [0,b]
+SUBSET_INSTANCES = {"ex1": ("n5", ["*", "a"]), "m3xa": ("m3", ["*", "a"]),
+                    "chain3sq": ("chain_3", ["*", "*"]),
+                    "bool2xa": ("boolean_2", ["*", "a"]), "fig5": ("fig5", ["*"]),
+                    "chain4sq": ("chain_4", ["*", "*"]), "n5xb": ("n5", ["*", "b"])}
+
+
+@pytest.mark.parametrize("name", list(SUBSET_INSTANCES))
+def test_subset_clauses_keep_subset_walk_statuses(name):
+    # unpoisoned, then the zero bit of each singleton companion flipped, then
+    # seeded other bits, each before the context is built: the companion map
+    # stays a meet of its singleton entries, but the relation may be broken
+    lattice, gens = SUBSET_INSTANCES[name]
+    plain = qm_from(lattice, gens)
+    size, zero = plain.size, plain.zero
+    others = [q for q in range(size) if q != zero]
+    rng = random.Random(size)
+    poisons = [None, *((p, zero) for p in range(size)),
+               *((rng.randrange(size), rng.choice(others)) for _ in range(2 * size))]
+    fails = set()
+    for poison in poisons:
+        qm = qm_from(lattice, gens)
+        if poison is not None:
+            p, q = poison
+            qm._pperp[p] = principal_perp(qm, p) ^ 1 << q
+        new, old = laws._Ctx(qm, Budgets(), name), OldCtx(qm)
+        statuses = set()
+        for clause, (new_body, old_body) in SUBSET_CLAUSES.items():
+            status, witness = _outcome(new_body, new)
+            assert status == _outcome(old_body, old)[0], (clause, poison)
+            statuses.add(status)
+            if status == FAIL:
+                fails.add(clause)
+                closed = set(old.closed.nodes) if clause.startswith("th2") else set()
+                assert violates(clause, qm, old.perp, closed, witness), (clause, poison)
+        assert poison is not None or statuses <= {PASS, HYP}
+    assert {"rem1.i", "rem1.iii", "lem4.iv"} <= fails
+    assert name == "m3xa" or {"th2.ii", "th2.iii"} <= fails
 
 
 # -- sampled pair pool, yielded lazily ----------------------------------------
