@@ -4,7 +4,8 @@ Each CLI job of perfbench/workloads.json runs at seed 0 as a child
 interpreter, and its exit code and stdout sha256 must equal those in
 perfbench/expected.json. Only those two files are read. The child runs in a
 temporary directory that holds a `perfbench` link to the repository's, so
-the job paths resolve and report files land outside the checkout.
+the job paths resolve and report files land outside the checkout. The
+`qm verify` jobs and `search.max4` run a second time under `python -O`.
 """
 
 import hashlib
@@ -29,14 +30,29 @@ CLI_JOBS = [job for workload in load("workloads.json").values()
             for job in workload["jobs"] if job["kind"] == "cli"]
 
 
-@pytest.mark.parametrize("job", CLI_JOBS, ids=[job["id"] for job in CLI_JOBS])
-def test_cli_job_reproduces_frozen_stdout(job, tmp_path):
+# The law suite's jobs again under `python -O`, where an `assert` in the
+# library would vanish: the output must not depend on one.
+OPTIMIZED_JOBS = [job for job in CLI_JOBS
+                  if job["id"].startswith("qm-verify.") or job["id"] == "search.max4"]
+
+
+def run_job(job, tmp_path, *flags):
     os.symlink(PERFBENCH, tmp_path / "perfbench")
     # the search jobs are the only ones that take the seed
     argv = job["argv"] + (["--seed", "0"] if "search" in job else [])
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONIOENCODING="utf-8")
-    proc = subprocess.run([sys.executable, "-c", CLI_PROGRAM, *argv], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, *flags, "-c", CLI_PROGRAM, *argv], cwd=tmp_path,
                           env=env, capture_output=True, timeout=120)
     want = load("expected.json")[job["id"]]
     assert proc.returncode == want["exit"], proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == want["stdout_sha256"]
+
+
+@pytest.mark.parametrize("job", CLI_JOBS, ids=[job["id"] for job in CLI_JOBS])
+def test_cli_job_reproduces_frozen_stdout(job, tmp_path):
+    run_job(job, tmp_path)
+
+
+@pytest.mark.parametrize("job", OPTIMIZED_JOBS, ids=[job["id"] for job in OPTIMIZED_JOBS])
+def test_cli_job_reproduces_frozen_stdout_under_python_O(job, tmp_path):
+    run_job(job, tmp_path, "-O")

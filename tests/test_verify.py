@@ -1,5 +1,6 @@
 import gc
 import random
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,7 @@ from quasimodules import (
     replay_witness,
 )
 from quasimodules import galois
-from quasimodules.bitset import bit_key
+from quasimodules.bitset import bit_key, iter_bits
 from quasimodules.errors import Error, NotZeroDistributive, UnknownInstance
 from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConfig
 from quasimodules.verify import laws, search
@@ -264,7 +265,7 @@ def all_pairs(m):
 
 
 def generator_pairs(m):
-    """The pairs the pair clauses scan up to 10 positions, where
+    """The pairs the pair clauses scan at every size; up to 10 positions
     `_Ctx.pair_pool` reads nothing of the context but m."""
     pairs, note = laws._Ctx.pair_pool(SimpleNamespace(m=m))
     assert note is None
@@ -642,6 +643,8 @@ def violates(clause, qm, tab, closed, witness):
     def dd(a):
         return tab[tab[a]]
 
+    if clause in SCANS:
+        return not SCANS[clause](tab, [_witness_pair(qm, witness)])
     w = {k: v if k in ("lattice", "factors", "violation", "family") else _mask(qm, v)
          for k, v in witness.items()}
     z = 1 << qm.zero
@@ -718,7 +721,7 @@ def test_subset_clauses_keep_subset_walk_statuses(name):
     assert name == "m3xa" or {"th2.ii", "th2.iii"} <= fails
 
 
-# -- sampled pair pool, yielded lazily ----------------------------------------
+# -- the generator pairs against the former sampled pair pool ----------------
 
 def old_pair_pool(ctx):
     """The former pair pool, kept as the oracle: all 4^m pairs up to 10
@@ -745,14 +748,18 @@ PAIR_POOL_INSTANCES = {"ex1": ("n5", ["*", "a"]), "chain4sq": ("chain_4", ["*", 
                        "n5sq": ("n5", ["*", "*"]), "fig5sq": ("fig5", ["*", "*"])}
 
 
-@pytest.mark.parametrize("name", ["chain4sq", "n5sq"])
-def test_sampled_pair_pool_yields_the_old_list(name):
+@pytest.mark.parametrize("name", list(PAIR_POOL_INSTANCES))
+def test_pair_pool_is_the_generator_pairs(name):
+    # the (m + 1)^2 pairs of the empty set and the singletons, in product
+    # order, at every size; beyond 10 vectors the former note stays
     ctx = laws._Ctx(qm_from(*PAIR_POOL_INSTANCES[name]), Budgets(), name)
     pairs, note = ctx.pair_pool()
-    old_pairs, old_note = old_pair_pool(ctx)
-    assert not isinstance(pairs, list)
-    assert list(pairs) == old_pairs
-    assert note == old_note is not None
+    gens = [0] + [1 << p for p in range(ctx.m)]
+    assert list(pairs) == [(a, b) for a in gens for b in gens]
+    if ctx.m <= 10:
+        assert note is None
+    else:
+        assert note == "pairs sampled: subquasimodule pairs plus 1500 seeded pairs"
 
 
 def _all_records(qm, name):
@@ -769,3 +776,76 @@ def test_sampled_pair_pool_keeps_records(name, monkeypatch):
     new = _all_records(qm, name)
     monkeypatch.setattr(laws._Ctx, "pair_pool", old_pair_pool)
     assert new == _all_records(qm, name)
+
+
+class LazyMeetTable(dict):
+    """meet_table's entries on first lookup, for carriers too large to list:
+    the AND of the singleton companions of the members."""
+
+    def __init__(self, qm):
+        super().__init__()
+        self.full = qm.full_mask
+        self.singles = [principal_perp(qm, p) for p in range(qm.size)]
+
+    def __missing__(self, mask):
+        value = self.full
+        for p in iter_bits(mask):
+            value &= self.singles[p]
+        self[mask] = value
+        return value
+
+
+class SampledPairCtx(laws._Ctx):
+    """A context whose pair clauses scan the former sampled pool, built once."""
+
+    @cached_property
+    def old_pairs(self):
+        return old_pair_pool(self)
+
+    def pair_pool(self):
+        return self.old_pairs
+
+
+PAIR_BODIES = dict(zip(PAIR_CLAUSES, (laws._c_rem1_ii, laws._c_rem1_iv,
+                                      laws._c_lem4_i, laws._c_lem4_ii)))
+
+
+@pytest.mark.parametrize("name", ["chain4sq", "n5sq"])
+def test_generator_pairs_keep_sampled_pair_failures(name):
+    # each singleton companion without zero, then a seeded other q dropped
+    # from {p}*, each before the context is built, so that the singleton
+    # relation is no longer symmetric; first, the companion of the empty set
+    # without zero, a table entry that only the pairs (0, {q}) see
+    lattice, gens = PAIR_POOL_INSTANCES[name]
+    plain = qm_from(lattice, gens)
+    size, zero = plain.size, plain.zero
+    rng = random.Random(size)
+    seeded = []
+    for _ in range(4):
+        p = rng.randrange(size)
+        seeded.append((p, rng.choice([q for q in iter_bits(principal_perp(plain, p))
+                                      if q != p])))
+    generators = laws.generators(size)
+    for poison in ["empty", *((p, zero) for p in range(size)), *seeded]:
+        qm = qm_from(lattice, gens)
+        if poison != "empty":
+            p, q = poison
+            qm._pperp[p] = principal_perp(qm, p) & ~(1 << q)
+        new, old = laws._Ctx(qm, Budgets(), name), SampledPairCtx(qm, Budgets(), name)
+        tab = LazyMeetTable(qm)
+        if poison == "empty":
+            for companions in (new.perp, old.perp, tab):
+                companions[0] ^= 1 << zero
+        fails = set()
+        for clause, body in PAIR_BODIES.items():
+            status, witness, _ = body(new)
+            assert status == FAIL or body(old)[0] != FAIL, (clause, poison)
+            if status == FAIL:
+                fails.add(clause)
+                assert violates(clause, qm, tab, set(), witness), (clause, poison)
+        # only {zero}* without zero leaves the relation symmetric
+        assert bool(fails) == (poison != (zero, zero)), poison
+        # the pool holds every generator pair on which a pair clause fails
+        pool = set(new.pair_pool()[0])
+        assert all((a, b) in pool for a in generators for b in generators
+                   for scan in SCANS.values() if not scan(tab, [(a, b)])), poison
