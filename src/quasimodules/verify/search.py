@@ -186,8 +186,7 @@ def counterexample_search(cfg):
     """Hunt violations per the search config; empty result means none found."""
     reports = []
     if not cfg.drop_hypotheses:
-        budgets = Budgets(seed=cfg.seed, random_subsets=200, random_pairs=300,
-                          family_samples=60, sampled_closures=80)
+        budgets = Budgets(seed=cfg.seed, sampled_closures=80)
         for lat in _generate_lattices(cfg):
             for factors in _factor_variants(lat, cfg):
                 qm = canonical(lat, factors)

@@ -402,6 +402,35 @@ def test_covering_steps_keep_pair_scan_records(case, ex1_qm, m3_qm, monkeypatch)
         assert r == o
 
 
+# -- the former subset pool -----------------------------------------------------
+
+OLD_RANDOM_SUBSETS, OLD_RANDOM_PAIRS = 1000, 1500
+
+
+def old_subset_pool(ctx):
+    """The former subset pool, kept for the oracles: up to 16 vectors the
+    generators and the pairs {zero, q}; beyond, the empty set, {zero}, the
+    carrier, the singletons, every subquasimodule and 1000 subsets seeded
+    from Random(seed + 2), with the note of that pool."""
+    pairs = (ctx.zmask | 1 << q for q in range(ctx.m))
+    if ctx.m <= 16:
+        return sorted({*laws.generators(ctx.m), *pairs}), None
+    pool = {ctx.zmask, ctx.full, *laws.generators(ctx.m)}
+    if ctx.subs is not None:
+        pool.update(ctx.subs.nodes)
+    rng = random.Random(ctx.b.seed + 2)
+    for _ in range(OLD_RANDOM_SUBSETS):
+        pool.add(rng.getrandbits(ctx.m))
+    note = f"sampled: subquasimodules, singletons and {OLD_RANDOM_SUBSETS} seeded subsets"
+    return sorted(pool), note
+
+
+class SampledSubsetCtx(laws._Ctx):
+    """A context whose subset clauses walk the former subset pool."""
+
+    subset_pool = cached_property(old_subset_pool)
+
+
 # -- lem1 on the empty set and the singletons ---------------------------------
 
 def old_lem1(ctx):
@@ -409,7 +438,7 @@ def old_lem1(ctx):
     order up to 16 vectors (projections by dynamic programming), the sampled
     subset pool through qm.project beyond."""
     qm, k = ctx.qm, len(ctx.qm.factors)
-    pool, note = ctx.subset_pool
+    pool, note = old_subset_pool(ctx)
     fqms = [qm.factor_qm(i) for i in range(k)]
     if note is None:
         pool = range(1 << ctx.m)
@@ -467,7 +496,7 @@ def old_family_check(ctx, law):
     """The former family re-check of lem4.i and lem4.ii, kept as an oracle:
     seeded families of 3-4 members drawn from every subset up to 16
     vectors, from the sampled subset pool beyond."""
-    pool, note = ctx.subset_pool
+    pool, note = old_subset_pool(ctx)
     if note is None:
         pool = range(1 << ctx.m)
     rng = random.Random(ctx.b.seed + 6)
@@ -616,6 +645,37 @@ def old_th2_iii(ctx):
     return PASS, None, None
 
 
+@laws._hyp_guard
+def old_th2_iv(ctx):
+    closed = ctx.closed
+    nodes = closed.nodes
+    for i, a in enumerate(nodes):
+        pa = ctx.perp[a]
+        if pa not in closed.base.index or ctx.perp[pa] != a:
+            return FAIL, ctx.doc(node=ctx.labels(a)), None
+        if closed.perp_map[i] != closed.base.index[pa]:
+            return FAIL, ctx.doc(node=ctx.labels(a)), None
+    for a in nodes:
+        for b in nodes:
+            if a & ~b == 0 and ctx.perp[b] & ~ctx.perp[a]:
+                return FAIL, ctx.doc(smaller=ctx.labels(a), larger=ctx.labels(b)), None
+    return PASS, None, None
+
+
+@laws._hyp_guard
+def old_th2_v(ctx):
+    closed = ctx.closed
+    index = closed.base.index
+    nodes = closed.nodes
+    if ctx.zmask not in index or ctx.full not in index:
+        return FAIL, ctx.doc(), None
+    for a in nodes:
+        for b in nodes:
+            if a & b not in index or ctx.dd_of(a | b) not in index:
+                return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), None
+    return PASS, None, None
+
+
 SUBSET_CLAUSES = {
     "rem1.i": (laws._c_rem1_i, old_rem1_i),
     "rem1.iii": (laws._c_rem1_iii, old_rem1_iii),
@@ -624,6 +684,8 @@ SUBSET_CLAUSES = {
     "th2.i": (laws._c_th2_i, old_th2_i),
     "th2.ii": (laws._c_th2_ii, old_th2_ii),
     "th2.iii": (laws._c_th2_iii, old_th2_iii),
+    "th2.iv": (laws._c_th2_iv, old_th2_iv),
+    "th2.v": (laws._c_th2_v, old_th2_v),
 }
 
 
@@ -659,8 +721,6 @@ def violates(clause, qm, tab, closed, witness):
     if clause == "prop2":
         return not is_subquasimodule(qm, tab[w["subset"]])[0]
     if clause == "th2.i":
-        if "closed_not_a_companion" in w:
-            return w["closed_not_a_companion"] in closed - set(tab)
         return tab[w["subset"]] not in closed
     if clause == "th2.ii":
         a = w["subset"]
@@ -668,6 +728,13 @@ def violates(clause, qm, tab, closed, witness):
             n = w["smaller_closed"]
             return n in closed and a & ~n == 0 and dd(a) & ~n != 0
         return a & ~dd(a) != 0 or dd(a) not in closed
+    if clause == "th2.iv":
+        n = w["node"]
+        return n in closed and (tab[n] not in closed or dd(n) != n)
+    if clause == "th2.v":
+        if "first" not in w:
+            return z not in closed or qm.full_mask not in closed
+        return {w["first"], w["second"]} <= closed and dd(w["first"] | w["second"]) not in closed
     if "family" in w:
         return dd(laws._union(closed)) != qm.full_mask
     a, b = w["first"], w["second"]
@@ -688,24 +755,29 @@ SUBSET_INSTANCES = {"ex1": ("n5", ["*", "a"]), "m3xa": ("m3", ["*", "a"]),
                     "chain4sq": ("chain_4", ["*", "*"]), "n5xb": ("n5", ["*", "b"])}
 
 
-@pytest.mark.parametrize("name", list(SUBSET_INSTANCES))
-def test_subset_clauses_keep_subset_walk_statuses(name):
-    # unpoisoned, then the zero bit of each singleton companion flipped, then
-    # seeded other bits, each before the context is built: the companion map
-    # stays a meet of its singleton entries, but the relation may be broken
-    lattice, gens = SUBSET_INSTANCES[name]
+def poisoned(lattice, gens):
+    """The instance unpoisoned, then with the zero bit of each singleton
+    companion flipped, then with 2m seeded other bits flipped, each before the
+    context is built: the companion map stays a meet of its singleton
+    entries, but the relation may be broken. Yields (poison, qm)."""
     plain = qm_from(lattice, gens)
     size, zero = plain.size, plain.zero
     others = [q for q in range(size) if q != zero]
     rng = random.Random(size)
     poisons = [None, *((p, zero) for p in range(size)),
                *((rng.randrange(size), rng.choice(others)) for _ in range(2 * size))]
-    fails = set()
     for poison in poisons:
         qm = qm_from(lattice, gens)
         if poison is not None:
             p, q = poison
             qm._pperp[p] = principal_perp(qm, p) ^ 1 << q
+        yield poison, qm
+
+
+@pytest.mark.parametrize("name", list(SUBSET_INSTANCES))
+def test_subset_clauses_keep_subset_walk_statuses(name):
+    fails = set()
+    for poison, qm in poisoned(*SUBSET_INSTANCES[name]):
         new, old = laws._Ctx(qm, Budgets(), name), OldCtx(qm)
         statuses = set()
         for clause, (new_body, old_body) in SUBSET_CLAUSES.items():
@@ -718,7 +790,7 @@ def test_subset_clauses_keep_subset_walk_statuses(name):
                 assert violates(clause, qm, old.perp, closed, witness), (clause, poison)
         assert poison is not None or statuses <= {PASS, HYP}
     assert {"rem1.i", "rem1.iii", "lem4.iv"} <= fails
-    assert name == "m3xa" or {"th2.ii", "th2.iii"} <= fails
+    assert name == "m3xa" or {"th2.ii", "th2.iii", "th2.iv"} <= fails
 
 
 # -- the generator pairs against the former sampled pair pool ----------------
@@ -729,16 +801,14 @@ def old_pair_pool(ctx):
     and the three fixed sets against the first 64 pool subsets."""
     if ctx.m <= 10:
         return all_pairs(ctx.m), None
-    base, _ = ctx.subset_pool
-    base = list(base)
+    base, _ = old_subset_pool(ctx)
     nodes = list(ctx.subs.nodes) if ctx.subs is not None else []
     pairs = [(a, b) for a in nodes for b in nodes]
     rng = random.Random(ctx.b.seed + 3)
-    for _ in range(ctx.b.random_pairs):
+    for _ in range(OLD_RANDOM_PAIRS):
         pairs.append((rng.choice(base), rng.choice(base)))
     pairs.extend((a, b) for a in (0, ctx.zmask, ctx.full) for b in base[:64])
-    note = (f"pairs sampled: subquasimodule pairs plus "
-            f"{ctx.b.random_pairs} seeded pairs")
+    note = f"pairs sampled: subquasimodule pairs plus {OLD_RANDOM_PAIRS} seeded pairs"
     return pairs, note
 
 
@@ -778,6 +848,23 @@ def test_sampled_pair_pool_keeps_records(name, monkeypatch):
     assert new == _all_records(qm, name)
 
 
+@pytest.mark.parametrize("name", ["n5sq", "fig5sq"])
+def test_sampled_subset_pool_keeps_records(name, monkeypatch):
+    qm = qm_from(*PAIR_POOL_INSTANCES[name])
+    new = _all_records(qm, name)
+    monkeypatch.setattr(laws._Ctx, "subset_pool", SampledSubsetCtx.subset_pool)
+    assert new == _all_records(qm, name)
+
+
+def test_subset_clauses_leave_the_subquasimodules_unenumerated():
+    # above 16 vectors too, the subset clauses and lem1 walk the generators
+    ctx = laws._Ctx(qm_from(*PAIR_POOL_INSTANCES["n5sq"]), Budgets(), "n5sq")
+    for body, _ in SUBSET_CLAUSES.values():
+        assert body(ctx)[0] == PASS
+    assert laws._c_lem1(ctx)[0] == PASS
+    assert "subs" not in ctx.__dict__
+
+
 class LazyMeetTable(dict):
     """meet_table's entries on first lookup, for carriers too large to list:
     the AND of the singleton companions of the members."""
@@ -804,6 +891,29 @@ class SampledPairCtx(laws._Ctx):
 
     def pair_pool(self):
         return self.old_pairs
+
+
+def test_generators_keep_sampled_subset_statuses():
+    # N5^2 (25 vectors) poisoned: the subset clauses on the generator pool
+    # against the former sampled pool. It holds every singleton and, being
+    # ascending, the same first witness, but for lem4.iv, whose first failing
+    # pair {zero, q} it may lack
+    fails = set()
+    for poison, qm in poisoned(*PAIR_POOL_INSTANCES["n5sq"]):
+        new = laws._Ctx(qm, Budgets(), "n5sq")
+        old = SampledSubsetCtx(qm, Budgets(), "n5sq")
+        tab = LazyMeetTable(qm)
+        for clause in ("rem1.i", "lem4.iv", "prop2", "th2.i", "th2.ii"):
+            body = SUBSET_CLAUSES[clause][0]
+            status, witness = _outcome(body, new)
+            old_status, old_witness = _outcome(body, old)
+            assert status == old_status, (clause, poison)
+            assert clause == "lem4.iv" or witness == old_witness, (clause, poison)
+            if status == FAIL:
+                fails.add(clause)
+                closed = set(new.closed.nodes) if clause.startswith("th2") else set()
+                assert violates(clause, qm, tab, closed, witness), (clause, poison)
+    assert fails == {"rem1.i", "lem4.iv", "prop2", "th2.i", "th2.ii"}
 
 
 PAIR_BODIES = dict(zip(PAIR_CLAUSES, (laws._c_rem1_ii, laws._c_rem1_iv,
