@@ -10,6 +10,9 @@ Subcommands::
 FILE arguments accept a path or ``builtin:NAME``. Exit codes: 0 success,
 1 verification failure, 2 input error. Standard output is byte-deterministic
 for fixed input, flags and seed; report files additionally carry timings.
+
+Each command imports the library modules it runs, so `lattice check` loads
+no quasimodule code and no law suite.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import json
 import sys
 
 from .errors import EnumerationBudgetExceeded, Error, NotZeroDistributive
-from .galois import closed_subquasimodules, is_splitting, perp
 from .lattice import (
     is_0_distributive,
     is_distributive,
@@ -28,20 +30,7 @@ from .lattice import (
     principal_ideal,
     read_text,
 )
-from .quasimodule import canonical, read_qm_file
-from .subquasi import SubQM, all_subquasimodules, find_bases
-from .verify import (
-    DROPPABLE,
-    FAIL,
-    MAX_LATTICE_SIZE,
-    REFERENCE_INSTANCES,
-    Budgets,
-    SearchConfig,
-    check_all,
-    check_homomorphism,
-    counterexample_search,
-    reproduce_reference,
-)
+from .verify import DROPPABLE, MAX_LATTICE_SIZE, REFERENCE_INSTANCES
 
 QM_ACTIONS = ("subs", "closed", "splitting", "perp-table", "bases", "verify")
 
@@ -108,6 +97,8 @@ def _echo_config(args, keys):
 
 
 def _load_qm(ref):
+    from .quasimodule import canonical, read_qm_file
+
     if ref.startswith("builtin:"):
         lattice = load_lattice(ref)
         return canonical(lattice, (principal_ideal(lattice, lattice.top),))
@@ -162,11 +153,16 @@ def _set_str(qm, mask):
 
 
 def _cmd_qm(args):
+    from .galois import closed_subquasimodules, is_splitting, perp
+    from .subquasi import SubQM, all_subquasimodules, find_bases
+
     _echo_config(args, ["action", "file", "max-basis-size", "budget", "format"])
     qm = _load_qm(args.file)
     action = args.action
 
     if action == "verify":
+        from .verify.laws import FAIL, Budgets, check_all, check_homomorphism
+
         budgets = Budgets(max_nodes=args.budget)
         reports = check_all(qm, budgets, instance=args.file)
         try:
@@ -256,6 +252,8 @@ def _print_perp_table(rows, chunk=10):
 
 
 def _print_reports(reports, fmt="table"):
+    from .verify.laws import FAIL
+
     if fmt == "structured":
         for r in reports:
             print(json.dumps(r.to_record(), sort_keys=True))
@@ -289,6 +287,9 @@ def _cmd_export_dot(args):
         lattice = _lattice_of(args.file)
         text = _dot_text(lattice.names, lattice.covers(), "lattice")
     else:
+        from .galois import closed_subquasimodules
+        from .subquasi import all_subquasimodules
+
         qm = _load_qm(args.file)
         subs = all_subquasimodules(qm, max_nodes=args.budget)
         if args.which == "subs":
@@ -315,6 +316,8 @@ def _cmd_verify(args):
         print("error: --instance and --search are mutually exclusive", file=sys.stderr)
         return 2
     if args.search:
+        from .verify.search import SearchConfig, counterexample_search
+
         cfg = SearchConfig(max_lattice_size=args.max_size,
                            max_factors=args.max_factors,
                            seed=args.seed,
@@ -328,6 +331,9 @@ def _cmd_verify(args):
         if not args.drop and reports:
             return 1
         return 0
+    from .verify.instances import reproduce_reference
+    from .verify.laws import FAIL
+
     instances = [args.instance] if args.instance else list(REFERENCE_INSTANCES)
     reports = []
     for name in instances:

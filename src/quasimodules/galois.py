@@ -16,7 +16,6 @@ is built once per quasimodule and kept on it, as the companions are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .bitset import iter_bits, superset_masks
@@ -28,7 +27,7 @@ from .errors import (
     NotZeroDistributive,
     SplittingNotClosed,
 )
-from .lattice import is_0_distributive
+from .lattice import FrozenRecord, is_0_distributive, set_field
 from .subquasi import SubQM, SubQMLattice, all_subquasimodules, is_subquasimodule
 
 
@@ -66,17 +65,19 @@ def perp(qm, vectors):
     return out
 
 
-@dataclass(frozen=True)
-class TaggedSet:
+class TaggedSet(FrozenRecord):
     """A double-companion that failed the subquasimodule laws.
 
     Returned instead of SubQM when some factor is not 0-distributive and the
     defect is witnessed by `violation` (same forms as is_subquasimodule).
     """
 
-    qm: object
-    members: int
-    violation: tuple
+    __slots__ = ("qm", "members", "violation")
+
+    def __init__(self, qm, members, violation):
+        set_field(self, "qm", qm)
+        set_field(self, "members", members)
+        set_field(self, "violation", violation)
 
 
 def double_perp(qm, vectors):
@@ -157,12 +158,14 @@ def closed_sets(qm):
     return nodes
 
 
-@dataclass(frozen=True)
-class ClosedLattice:
+class ClosedLattice(FrozenRecord):
     """The complete lattice of closed subquasimodules with its involution."""
 
-    base: SubQMLattice
-    perp_map: tuple
+    __slots__ = ("base", "perp_map")
+
+    def __init__(self, base, perp_map):
+        set_field(self, "base", base)
+        set_field(self, "perp_map", perp_map)
 
     @property
     def qm(self):
@@ -265,12 +268,15 @@ def splitting_subquasimodules(qm, max_nodes=200_000):
     return out
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
-    """Per-factor closed components whose product reconstructs a closed set."""
+class FactorizationWitness(FrozenRecord):
+    """Per-factor closed components whose product reconstructs a closed set;
+    `factor_masks` holds one element bitmask per factor."""
 
-    qm: object
-    factor_masks: tuple  # element bitmask per factor
+    __slots__ = ("qm", "factor_masks")
+
+    def __init__(self, qm, factor_masks):
+        set_field(self, "qm", qm)
+        set_field(self, "factor_masks", factor_masks)
 
     def factor_labels(self):
         return tuple(self.qm.lattice.labels(m) for m in self.factor_masks)
@@ -329,20 +335,23 @@ def factorize_closed(qm, sub):
     return FactorizationWitness(qm, tuple(masks))
 
 
-@dataclass(frozen=True)
-class ClosedIso:
+class ClosedIso(FrozenRecord):
     """The product map from factor closed lattices onto the closed lattice.
 
+    `factor_closed` holds, per factor, the tuple of its closed element masks.
     `assignments` pairs each choice of per-factor closed element sets with
     the carrier mask of their product. The verification flags record
     bijectivity onto the closed lattice and order preservation both ways.
     """
 
-    qm: object
-    factor_closed: tuple      # per factor: tuple of closed element masks
-    assignments: tuple        # ((element masks...), carrier mask) pairs
-    bijective: bool
-    order_embedding: bool
+    __slots__ = ("qm", "factor_closed", "assignments", "bijective", "order_embedding")
+
+    def __init__(self, qm, factor_closed, assignments, bijective, order_embedding):
+        set_field(self, "qm", qm)
+        set_field(self, "factor_closed", factor_closed)
+        set_field(self, "assignments", assignments)
+        set_field(self, "bijective", bijective)
+        set_field(self, "order_embedding", order_embedding)
 
     @property
     def is_isomorphism(self):

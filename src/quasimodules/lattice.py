@@ -9,7 +9,7 @@ envelope is roughly 64 elements.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .bitset import cover_pairs, iter_bits, mask_of
 from .errors import (
@@ -23,12 +23,62 @@ from .errors import (
 )
 
 
+# -- records -------------------------------------------------------------------
+
+class Record:
+    """Base of the package's record classes: equality, hashing, pickling and
+    repr over the fields named in `__slots__`, in order.
+
+    Each subclass writes its own `__init__`: a generic one is several times
+    slower, and SubQM and Ideal are built on hot paths.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields, once `__init__` has set them through
+    `set_field`, cannot be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+set_field = object.__setattr__
+
+
+# -- lattices ------------------------------------------------------------------
+
 class Lattice:
     """A validated finite bounded lattice.
 
     Immutable after construction; safe to share between threads. Use
     :func:`build_lattice` or :func:`builtin` instead of calling this
-    directly.
+    directly, unless `up` is already a partial order: per element, the
+    bitmask of every element above it, itself included.
     """
 
     __slots__ = ("n", "names", "up", "down", "meet", "join", "bottom", "top",
@@ -102,13 +152,17 @@ class Lattice:
                 if (mi[j] == i) != bool(le) or (ji[j] == j) != bool(le):
                     raise NotALattice("order and tables disagree "
                                       f"at ({self.names[i]}, {self.names[j]})")
+        # associativity one row at a time: row k of (i^j)^k against i^(j^k)
         for i in range(n):
+            mi, ji = meet[i], join[i]
             for j in range(n):
-                mij, jij = meet[i][j], join[i][j]
-                mi, ji = meet[i], join[i]
                 mj, jj = meet[j], join[j]
+                if n > 1 and (meet[mi[j]] == itemgetter(*mj)(mi)
+                              and join[ji[j]] == itemgetter(*jj)(ji)):
+                    continue
+                mij, jij = meet[mi[j]], join[ji[j]]
                 for k in range(n):
-                    if meet[mij][k] != mi[mj[k]] or join[jij][k] != ji[jj[k]]:
+                    if mij[k] != mi[mj[k]] or jij[k] != ji[jj[k]]:
                         raise NotALattice("associativity fails "
                                           f"at ({self.names[i]}, {self.names[j]}, {self.names[k]})")
 
@@ -255,8 +309,7 @@ def is_distributive(lattice):
 
 # -- ideals ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(FrozenRecord):
     """A non-empty, down-closed, join-closed element subset.
 
     Construct through :func:`principal_ideal` or :meth:`Ideal.from_members`;
@@ -264,8 +317,11 @@ class Ideal:
     [bottom, max] for its maximum element.
     """
 
-    lattice: Lattice
-    members: int
+    __slots__ = ("lattice", "members")
+
+    def __init__(self, lattice, members):
+        set_field(self, "lattice", lattice)
+        set_field(self, "members", members)
 
     @classmethod
     def from_members(cls, lattice, members):

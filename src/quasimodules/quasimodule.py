@@ -14,7 +14,6 @@ q -> p + q or q -> c q is a few masked shifts of its bitmask
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
@@ -28,7 +27,7 @@ from .errors import (
     NotInCarrier,
     ParseError,
 )
-from .lattice import Ideal, Lattice, is_ideal, load_lattice, read_text
+from .lattice import FrozenRecord, Ideal, is_ideal, load_lattice, read_text, set_field
 
 
 class CanonicalQM:
@@ -303,33 +302,39 @@ def standard_basis(qm, check=True):
 
 # -- raw quasimodule data and axiom verification -----------------------------
 
-@dataclass(frozen=True)
-class RawQM:
+class RawQM(FrozenRecord):
     """Bare operation tables over an abstract carrier, to be axiom-checked.
 
     `add` is size x size, `smul` is |L| x size, both holding carrier indices.
     """
 
-    lattice: Lattice
-    add: tuple
-    smul: tuple
-    zero: int
+    __slots__ = ("lattice", "add", "smul", "zero")
+
+    def __init__(self, lattice, add, smul, zero):
+        set_field(self, "lattice", lattice)
+        set_field(self, "add", add)
+        set_field(self, "smul", smul)
+        set_field(self, "zero", zero)
 
     @property
     def size(self):
         return len(self.add)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    holds: bool
-    witness: tuple | None = None
+class AxiomCheck(FrozenRecord):
+    __slots__ = ("name", "holds", "witness")
+
+    def __init__(self, name, holds, witness=None):
+        set_field(self, "name", name)
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple
+class AxiomReport(FrozenRecord):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks):
+        set_field(self, "checks", checks)
 
     @property
     def ok(self):

@@ -7,7 +7,6 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .bitset import bit_key, cover_pairs, iter_bits, superset_masks
@@ -17,15 +16,17 @@ from .errors import (
     LatticeBoundsMissing,
     NodeSetEscaped,
 )
-from .quasimodule import CanonicalQM
+from .lattice import FrozenRecord, set_field
 
 
-@dataclass(frozen=True)
-class SubQM:
+class SubQM(FrozenRecord):
     """A subquasimodule of a canonical quasimodule, stored as a member bitmask."""
 
-    qm: CanonicalQM
-    members: int
+    __slots__ = ("qm", "members")
+
+    def __init__(self, qm, members):
+        set_field(self, "qm", qm)
+        set_field(self, "members", members)
 
     def __contains__(self, pos):
         return bool(self.members >> pos & 1)

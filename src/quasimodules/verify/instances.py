@@ -32,6 +32,7 @@ from ..lattice import (
 )
 from ..quasimodule import canonical
 from ..subquasi import SubQM, all_subquasimodules, generate, is_basis, is_subquasimodule
+from . import REFERENCE_INSTANCES
 from .laws import FAIL, PASS, TheoremReport
 
 # -- golden data --------------------------------------------------------------
@@ -100,8 +101,6 @@ M3_BASIS_SUBSETS = (
     ((("a", "0"), ("b", "0")),
      (("0", "0"), ("a", "0"), ("b", "0"), ("c", "0"), ("1", "0"))),
 )
-
-REFERENCE_INSTANCES = ("ex2", "m3", "ex1", "fig5", "n5-power")
 
 
 # -- helpers ------------------------------------------------------------------

@@ -16,7 +16,6 @@ where a clause is exact, as frozen CLI stdout holds them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iproduct
 from time import perf_counter
@@ -35,7 +34,7 @@ from ..galois import (
     product_mask,
     zero_distributivity_defect,
 )
-from ..lattice import Ideal, format_lattice, principal_ideal
+from ..lattice import FrozenRecord, Ideal, Record, format_lattice, principal_ideal, set_field
 from ..quasimodule import verify_axioms
 from ..subquasi import SubQM, all_subquasimodules, close_mask, is_subquasimodule
 
@@ -57,14 +56,17 @@ _MAX_ORTHOGONAL_SIZE = 3
 _PRODUCT_COMBO_CAP = 4096
 
 
-@dataclass
-class TheoremReport:
-    clause: str
-    status: str
-    instance: str
-    witness: dict | None = None
-    note: str | None = None
-    seconds: float = 0.0
+class TheoremReport(Record):
+    __slots__ = ("clause", "status", "instance", "witness", "note", "seconds")
+    __hash__ = None  # mutable
+
+    def __init__(self, clause, status, instance, witness=None, note=None, seconds=0.0):
+        self.clause = clause
+        self.status = status
+        self.instance = instance
+        self.witness = witness
+        self.note = note
+        self.seconds = seconds
 
     def to_record(self):
         return {
@@ -77,16 +79,18 @@ class TheoremReport:
         }
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(FrozenRecord):
     """The subquasimodule node budget, the seed of the law suites and their
     two sample sizes: the seeded families of `check_homomorphism` and the
     seeded subsets of `th2.vi`. Seeded runs are reproducible."""
 
-    family_samples: int = 300
-    sampled_closures: int = 300
-    max_nodes: int = 200_000
-    seed: int = 0
+    __slots__ = ("family_samples", "sampled_closures", "max_nodes", "seed")
+
+    def __init__(self, family_samples=300, sampled_closures=300, max_nodes=200_000, seed=0):
+        set_field(self, "family_samples", family_samples)
+        set_field(self, "sampled_closures", sampled_closures)
+        set_field(self, "max_nodes", max_nodes)
+        set_field(self, "seed", seed)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Lattices are enumerated exhaustively, up to MAX_LATTICE_SIZE = 7 elements,
 through naturally labeled order relations: fix a linear extension, force
 element 0 as bottom and element n-1 as top, and range over all order bits
 between middle elements. Every isomorphism class of bounded lattices on n
-elements appears this way.
+elements appears this way, many of them under several labellings.
 
 Two claims can be dropped for hunting:
 
@@ -21,11 +21,10 @@ violation persists, and carry a replayable witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
-from ..bitset import bit_key
-from ..errors import Error
+from ..bitset import bit_key, iter_bits
+from ..errors import Error, NotALattice
 from ..galois import (
     closed_sets,
     is_closed,
@@ -34,31 +33,29 @@ from ..galois import (
     principal_perp,
     sum_set,
 )
-from ..lattice import build_lattice, is_0_distributive, parse_lattice, principal_ideal
+from ..lattice import (FrozenRecord, Lattice, is_0_distributive, parse_lattice,
+                       principal_ideal, set_field)
 from ..quasimodule import canonical
 from ..subquasi import SubQM, is_subquasimodule
+from . import DROPPABLE, MAX_LATTICE_SIZE
 from .laws import (FAIL, Budgets, TheoremReport, _parse_factor, check_all,
                    factor_descriptor, set_labels, violation_labels, witness_doc)
-
-DROPPABLE = ("0-distributive", "closed-is-splitting")
-
-MAX_LATTICE_SIZE = 7
 
 # product instances lattice x [0, q] are tried only up to this many vectors
 _MAX_CARRIER = 80
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(FrozenRecord):
     """Search budgets, checked on construction; runs with equal configs are
     bit-reproducible."""
 
-    max_lattice_size: int = 5
-    max_factors: int = 2
-    seed: int = 0
-    drop_hypotheses: tuple = ()
+    __slots__ = ("max_lattice_size", "max_factors", "seed", "drop_hypotheses")
 
-    def __post_init__(self):
+    def __init__(self, max_lattice_size=5, max_factors=2, seed=0, drop_hypotheses=()):
+        set_field(self, "max_lattice_size", max_lattice_size)
+        set_field(self, "max_factors", max_factors)
+        set_field(self, "seed", seed)
+        set_field(self, "drop_hypotheses", drop_hypotheses)
         for hyp in self.drop_hypotheses:
             if hyp not in DROPPABLE:
                 raise ValueError(
@@ -72,29 +69,45 @@ class SearchConfig:
 
 
 def _exhaustive_lattices(n):
-    """Every bounded lattice on n elements, up to isomorphism (with repeats
-    possible before transitive-closure dedup)."""
+    """Every naturally labelled bounded lattice on n elements, each once.
+
+    Element 0 is the bottom, element n-1 the top, and e_i <= e_j only when
+    i <= j. Each choice of order bits between middle elements is closed
+    transitively; an up-tuple already met is skipped before any lattice is
+    built. Isomorphic copies with other labellings all appear: 39 lattices on
+    6 elements, which fall into 15 isomorphism classes.
+    """
     names = tuple(f"e{i}" for i in range(n))
     if n == 1:
-        yield build_lattice(names, [])
+        yield Lattice(names, (1,))
         return
-    base = [(names[0], names[j]) for j in range(1, n)]
-    base += [(names[i], names[n - 1]) for i in range(n - 1)]
-    mids = list(range(1, n - 1))
-    free = [(i, j) for a, i in enumerate(mids) for j in mids[a + 1:]]
+    full, top = (1 << n) - 1, 1 << (n - 1)
+    mids = range(1, n - 1)
+    free = [(i, j) for i in mids for j in range(i + 1, n - 1)]
     seen = set()
     for bits in range(1 << len(free)):
-        pairs = list(base)
+        direct = [0] * n
         for k, (i, j) in enumerate(free):
             if bits >> k & 1:
-                pairs.append((names[i], names[j]))
-        try:
-            lat = build_lattice(names, pairs)
-        except Error:
+                direct[i] |= 1 << j
+        # successors have larger indices, so one downward sweep closes the order
+        up = [0] * n
+        up[n - 1] = top
+        for i in range(n - 2, 0, -1):
+            u = 1 << i | top
+            for j in iter_bits(direct[i]):
+                u |= up[j]
+            up[i] = u
+        up[0] = full
+        up = tuple(up)
+        if up in seen:
             continue
-        if lat.up not in seen:
-            seen.add(lat.up)
-            yield lat
+        seen.add(up)
+        try:
+            lat = Lattice(names, up)
+        except NotALattice:
+            continue
+        yield lat
 
 
 def _generate_lattices(cfg):
@@ -152,25 +165,38 @@ def _closed_not_splitting_violation(lat, cfg):
     return None
 
 
-def _minimize(lat, violation):
-    """Greedily drop elements while the violation predicate still fires."""
+def _restrict(up, drop):
+    """The up-sets of a partial order without element `drop`, renumbered."""
+    low = (1 << drop) - 1
+    return tuple(u & low | u >> 1 & ~low
+                 for i, u in enumerate(up) if i != drop)
+
+
+def _minimize(lat, detail, violation, memo):
+    """Greedily drop elements while the violation predicate still fires.
+
+    A restriction of a partial order is one, so each candidate is built
+    directly from its restricted up-sets. `memo` maps (names, up) to
+    (lattice, detail), or to None when the candidate is not a lattice; it is
+    shared by every finding of one hypothesis.
+    """
     current = lat
-    detail = violation(current)
     improved = True
     while improved and current.n > 1:
         improved = False
         for drop in range(current.n):
-            keep = [i for i in range(current.n) if i != drop]
-            names = [current.names[i] for i in keep]
-            pairs = [(current.names[i], current.names[j])
-                     for i in keep for j in keep if i != j and current.le(i, j)]
-            try:
-                candidate = build_lattice(names, pairs)
-            except Error:
-                continue
-            d = violation(candidate)
-            if d is not None:
-                current, detail = candidate, d
+            names = current.names[:drop] + current.names[drop + 1:]
+            key = (names, _restrict(current.up, drop))
+            if key not in memo:
+                try:
+                    candidate = Lattice(*key)
+                except Error:
+                    memo[key] = None
+                else:
+                    memo[key] = (candidate, violation(candidate))
+            found = memo[key]
+            if found is not None and found[1] is not None:
+                current, detail = found
                 improved = True
                 break
     return current, detail
@@ -200,12 +226,14 @@ def counterexample_search(cfg):
     for hyp in dict.fromkeys(cfg.drop_hypotheses):
         clause, predicate = _PREDICATES[hyp]
         fn = lambda lat, _p=predicate: _p(lat, cfg)
+        memo = {}
         for lat in lattices:
             start = perf_counter()
             detail = fn(lat)
+            memo[lat.names, lat.up] = (lat, detail)
             if detail is None:
                 continue
-            small, small_detail = _minimize(lat, fn)
+            small, small_detail = _minimize(lat, detail, fn, memo)
             reports.append(TheoremReport(
                 clause, FAIL, f"{small.n}-element lattice",
                 small_detail, f"hypothesis {hyp!r} dropped; minimized from "

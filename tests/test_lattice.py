@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from quasimodules import (
     Ideal,
+    Lattice,
     build_lattice,
     builtin,
     builtin_covers,
@@ -194,3 +197,77 @@ def test_covers_match_definition():
     lattices += [lat for n in range(1, 7) for lat in _exhaustive_lattices(n)]
     for lat in lattices:
         assert lat.covers() == definition(lat)
+
+
+# -- the table self-check ----------------------------------------------------------
+
+def cubic_self_check(lat):
+    """The self-check as a triple loop: the message of its first fault, or None."""
+    n, meet, join, up, names = lat.n, lat.meet, lat.join, lat.up, lat.names
+    for i in range(n):
+        for j in range(n):
+            if meet[i][join[i][j]] != i or join[i][meet[i][j]] != i:
+                return f"absorption fails at ({names[i]}, {names[j]})"
+            le = bool(up[i] >> j & 1)
+            if (meet[i][j] == i) != le or (join[i][j] == j) != le:
+                return f"order and tables disagree at ({names[i]}, {names[j]})"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (meet[meet[i][j]][k] != meet[i][meet[j][k]]
+                        or join[join[i][j]][k] != join[i][join[j][k]]):
+                    return f"associativity fails at ({names[i]}, {names[j]}, {names[k]})"
+    return None
+
+
+def tampered(lat, table, x, y, value):
+    """A copy of lat whose table has value at (x, y) and (y, x), built past
+    the constructor so that only the self-check judges it."""
+    rows = [list(row) for row in getattr(lat, table)]
+    rows[x][y] = rows[y][x] = value
+    out = object.__new__(Lattice)
+    for name in ("n", "names", "up", "meet", "join"):
+        object.__setattr__(out, name, getattr(lat, name))
+    object.__setattr__(out, table, tuple(map(tuple, rows)))
+    return out
+
+
+def self_check_message(lat):
+    try:
+        lat._self_check()
+    except NotALattice as exc:
+        return str(exc)
+    return None
+
+
+TAIL_DIAMOND = build_lattice("0 x a b 1".split(),
+                             [("0", "x"), ("x", "a"), ("x", "b"), ("a", "1"), ("b", "1")])
+
+
+@pytest.mark.parametrize("lattice, table, x, y, value, message", [
+    ("fig5", "meet", "0", "0", "a", "absorption fails at (0, 0)"),
+    ("fig5", "meet", "a", "b", "a", "order and tables disagree at (a, b)"),
+    ("fig5", "join", "a", "b", "1", "associativity fails at (a, b, c)"),
+    ("tail-diamond", "meet", "a", "b", "0", "associativity fails at (x, a, b)"),
+])
+def test_self_check_names_the_first_fault(lattice, table, x, y, value, message):
+    lat = TAIL_DIAMOND if lattice == "tail-diamond" else builtin(lattice)
+    bad = tampered(lat, table, lat.index(x), lat.index(y), lat.index(value))
+    with pytest.raises(NotALattice, match=f"^{re.escape(message)}$"):
+        bad._self_check()
+
+
+def test_self_check_agrees_with_the_triple_loop_on_every_one_entry_tamper():
+    faults = 0
+    for lat in (builtin("n5"), builtin("m3"), builtin("fig5"), builtin("chain_1"),
+                TAIL_DIAMOND):
+        assert self_check_message(lat) is None
+        for table in ("meet", "join"):
+            for x in range(lat.n):
+                for y in range(x, lat.n):
+                    for value in range(lat.n):
+                        bad = tampered(lat, table, x, y, value)
+                        want = cubic_self_check(bad)
+                        assert self_check_message(bad) == want, (lat, table, x, y, value)
+                        faults += want is not None
+    assert faults > 300
