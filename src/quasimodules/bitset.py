@@ -23,8 +23,33 @@ def mask_of(indices):
 
 
 def bit_key(mask):
-    """Canonical sort key for same-universe masks: size, then members."""
+    """Canonical sort key for same-universe masks: size, then members.
+
+    This is the documented node order; sort_masks gives the same order
+    faster.
+    """
     return (mask.bit_count(), tuple(iter_bits(mask)))
+
+
+# byte b -> 255 - (b with its bits reversed), built by sort_masks on first use
+_FLIP = None
+
+
+def sort_masks(masks, width):
+    """masks sorted by bit_key; every mask must fit in width bits.
+
+    Of two masks of equal size, A sorts first iff the lowest bit of A ^ B is
+    in A. The key after the size is the little-endian bytes of the mask,
+    each bit-reversed and complemented: the first differing byte holds that
+    bit, reversal makes it the highest differing bit of the byte, and the
+    complement makes the byte that holds it the smaller one.
+    """
+    global _FLIP
+    if _FLIP is None:
+        _FLIP = bytes([255 - int(f"{b:08b}"[::-1], 2) for b in range(256)])
+    flip, size = _FLIP, (width + 7) // 8
+    return sorted(masks, key=lambda m: (m.bit_count(),
+                                        m.to_bytes(size, "little").translate(flip)))
 
 
 def superset_masks(masks):

@@ -245,9 +245,12 @@ def is_splitting(qm, sub):
     """True iff sub plus its companion covers the whole carrier.
 
     The intersection of sub with its companion is always exactly {zero};
-    anything else raises CompanionOverlap.
+    anything else raises CompanionOverlap. Once the closed lattice is built,
+    the companion of one of its nodes is read from its involution.
     """
-    companion = perp(qm, sub.members)
+    closed = qm._closed
+    i = None if closed is None else closed.base.index.get(sub.members)
+    companion = perp(qm, sub.members) if i is None else closed.nodes[closed.perp_map[i]]
     if sub.members & companion != 1 << qm.zero:
         raise CompanionOverlap(
             f"{sub} meets its companion in {qm.label_sets(sub.members & companion)}, "

@@ -107,28 +107,22 @@ class Lattice:
         self.bottom = bottoms[0]
         self.top = tops[0]
 
+        # in a partial order, g is the greatest lower bound of i and j iff
+        # their common down-set is down[g]; dually for joins
+        at_down = {d: g for g, d in enumerate(down)}
+        at_up = {u: s for s, u in enumerate(up)}
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                low = down[i] & down[j]
-                g = -1
-                for c in iter_bits(low):
-                    if low & ~down[c] == 0:
-                        g = c
-                        break
-                if g < 0:
+                g = at_down.get(down[i] & down[j])
+                if g is None:
                     raise NotALattice(
                         f"elements {self.names[i]!r} and {self.names[j]!r} "
                         "have no unique greatest lower bound")
                 meet[i][j] = meet[j][i] = g
-                high = up[i] & up[j]
-                s = -1
-                for c in iter_bits(high):
-                    if high & ~up[c] == 0:
-                        s = c
-                        break
-                if s < 0:
+                s = at_up.get(up[i] & up[j])
+                if s is None:
                     raise NotALattice(
                         f"elements {self.names[i]!r} and {self.names[j]!r} "
                         "have no unique least upper bound")

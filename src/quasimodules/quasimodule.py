@@ -39,7 +39,8 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_pperp", "_factor_qms", "_closed", "_coord_masks", "_moves", "_steps")
+                 "_pperp", "_orbits", "_factor_qms", "_closed", "_coord_masks", "_moves",
+                 "_steps")
 
     def __init__(self, lattice, factors, carrier, index):
         self.lattice = lattice
@@ -49,6 +50,8 @@ class CanonicalQM:
         self.size = len(carrier)
         self.zero = index[tuple([lattice.bottom] * len(factors))]
         self._pperp = {}
+        # per position p, the bitmask {c p : c in L}, built by scalar_orbits
+        self._orbits = None
         self._factor_qms = {}
         # the ClosedLattice, set by closed_subquasimodules once its checks pass
         self._closed = None
@@ -98,6 +101,19 @@ class CanonicalQM:
         self._check(p)
         meet = self.lattice.meet
         return self.index[tuple(meet[c][a] for a in self.carrier[p])]
+
+    def scalar_orbits(self):
+        """Per position p, the bitmask of {c p : c in L}; built once."""
+        if self._orbits is None:
+            index, rows = self.index, self.lattice.meet
+            orbits = []
+            for u in self.carrier:
+                m = 0
+                for row in rows:
+                    m |= 1 << index[tuple([row[a] for a in u])]
+                orbits.append(m)
+            self._orbits = tuple(orbits)
+        return self._orbits
 
     def inner(self, p, q):
         """Inner product: the join over all componentwise meets."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bitset import bit_key, cover_pairs, iter_bits, superset_masks
+from .bitset import cover_pairs, iter_bits, sort_masks, superset_masks
 from .errors import (
     BasisCheckFailed,
     EnumerationBudgetExceeded,
@@ -54,24 +54,20 @@ def close_mask(qm, mask, base=0):
     so only the vectors of mask outside base, and what they generate, are
     visited: close_mask(qm, m, base=b) == close_mask(qm, m | b).
 
-    Semi-naive: each round adds the scalar images of the fresh vectors and
-    the sums of each fresh vector with the whole closed set, each one subset
-    image (CanonicalQM.image); what is new becomes the next fresh set.
+    Semi-naive: each round adds, for each fresh vector p, its scalar orbit
+    {c p : c in L} (one lookup in CanonicalQM.scalar_orbits) and the sums
+    of p with the whole closed set (one subset image, CanonicalQM.image);
+    what is new becomes the next fresh set. Meet does not distribute over
+    join (N5), so every new sum needs its own orbit.
     """
     closed = base | mask | 1 << qm.zero
     fresh = closed & ~base
+    orbits = qm.scalar_orbits()
     image = qm.image
-    # bottom sends every vector to zero and top fixes it, so neither adds one
-    trivial = (qm.lattice.bottom, qm.lattice.top)
-    scalars = [c for c in range(qm.lattice.n) if c not in trivial]
     while fresh:
         new = 0
-        # meet does not distribute over join (N5), so every new sum needs
-        # its own scalar orbit
-        for c in scalars:
-            new |= image(fresh, "smul", c)
         for p in iter_bits(fresh):
-            new |= image(closed, "add", p)
+            new |= orbits[p] | image(closed, "add", p)
         fresh = new & ~closed
         closed |= fresh
     return closed
@@ -102,8 +98,10 @@ def is_subquasimodule(qm, vectors):
                 s = qm.add(p, q)
                 if outside >> s & 1:
                     return False, ("add", p, q, s)
+    # bottom sends every vector to zero, checked above, and top fixes it
+    trivial = (qm.lattice.bottom, qm.lattice.top)
     for c in range(qm.lattice.n):
-        if qm.image(mask, "smul", c) & outside:
+        if c not in trivial and qm.image(mask, "smul", c) & outside:
             for p in iter_bits(mask):
                 s = qm.smul(c, p)
                 if outside >> s & 1:
@@ -123,7 +121,7 @@ class SubQMLattice:
     def __init__(self, qm, node_masks, join_closure, kind="all"):
         self.qm = qm
         self.kind = kind
-        self.nodes = tuple(sorted(node_masks, key=bit_key))
+        self.nodes = tuple(sort_masks(node_masks, qm.size))
         self.index = {mask: i for i, mask in enumerate(self.nodes)}
         self._join_closure = join_closure
         zero_only = 1 << qm.zero

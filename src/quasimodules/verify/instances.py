@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..bitset import bit_key, iter_bits, mask_of
+from ..bitset import bit_key, iter_bits, mask_of, sort_masks
 from ..errors import UnknownInstance
 from ..galois import (
     closed_lattice_iso,
@@ -206,7 +206,7 @@ def _run_ex1():
     closed = closed_subquasimodules(qm)
     want_closed = [golden_masks[k - 1] for k in EX1_CLOSED]
     _report(reports, instance, "closed-family",
-            list(closed.nodes) == sorted(want_closed, key=bit_key),
+            list(closed.nodes) == sort_masks(want_closed, qm.size),
             {"computed": [qm.label_sets(m) for m in closed.nodes]}, start)
 
     start = perf_counter()
@@ -247,8 +247,8 @@ def _run_ex1():
         mask_of(single.vector(e) for e in want)
         for lab, want in N5_ELEMENT_PERPS.items())
     closed_n5 = closed_subquasimodules(single)
-    want_n5 = sorted((mask_of(single.vector(e) for e in labels) for labels in N5_CLOSED),
-                     key=bit_key)
+    want_n5 = sort_masks((mask_of(single.vector(e) for e in labels) for labels in N5_CLOSED),
+                         single.size)
     _report(reports, instance, "scalar-lattice-companions",
             perps_ok and list(closed_n5.nodes) == want_n5
             and is_boolean_shape(closed_n5.nodes), None, start)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..bitset import bit_key, iter_bits
+from ..bitset import iter_bits, sort_masks
 from ..errors import Error, NotALattice
 from ..galois import (
     closed_sets,
@@ -152,7 +152,7 @@ def _companion_closure_violation(lat, cfg):
 def _closed_not_splitting_violation(lat, cfg):
     for factors in _factor_variants(lat, cfg):
         qm = canonical(lat, factors)
-        for mask in sorted(closed_sets(qm), key=bit_key):
+        for mask in sort_masks(closed_sets(qm), qm.size):
             holds, _ = is_subquasimodule(qm, mask)
             if not holds:
                 continue

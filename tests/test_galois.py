@@ -304,6 +304,26 @@ def test_closed_sets_match_saturation(spec):
     assert closed_sets(qm) == nodes
 
 
+@pytest.mark.parametrize("spec, which", [
+    ("bool3.cube", "closed"), ("bool3.sq-x-ab", "closed"), ("n5.pow4", "closed"),
+    ("chain5.sq", "all"), ("chain6.top-x-4", "all"), ("bool3.sq", "all"),
+])
+def test_is_splitting_reads_the_closed_companion(spec, which, monkeypatch):
+    # the closed nodes of the closed-products specs, every node of the
+    # subs-ladder ones; `fresh` has no closed lattice, so it calls perp
+    path = os.path.join(SPECS, spec + ".qm")
+    qm, fresh = read_qm_file(path), read_qm_file(path)
+    closed = closed_subquasimodules(qm)
+    masks = closed.nodes if which == "closed" else all_subquasimodules(qm).nodes
+    want = [is_splitting(fresh, SubQM(fresh, m)) for m in masks]
+    assert fresh._closed is None
+    asked = []
+    monkeypatch.setattr(galois, "perp",
+                        lambda qm_, v: asked.append(v) or perp(qm_, v))
+    assert [is_splitting(qm, SubQM(qm, m)) for m in masks] == want
+    assert not set(asked) & set(closed.nodes)
+
+
 def singleton_closure(qm):
     # oracle: the intersection closure of all |Q| singleton companions
     nodes = {qm.full_mask}

@@ -16,7 +16,7 @@ from quasimodules import (
     parse_lattice,
     principal_ideal,
 )
-from quasimodules.bitset import mask_of
+from quasimodules.bitset import iter_bits, mask_of
 from quasimodules.errors import (
     IndexOutOfRange,
     NotALattice,
@@ -25,6 +25,7 @@ from quasimodules.errors import (
     ParseError,
     UnknownBuiltin,
 )
+from quasimodules.verify import search
 from quasimodules.verify.search import _exhaustive_lattices
 
 
@@ -271,3 +272,60 @@ def test_self_check_agrees_with_the_triple_loop_on_every_one_entry_tamper():
                         assert self_check_message(bad) == want, (lat, table, x, y, value)
                         faults += want is not None
     assert faults > 300
+
+
+# -- meets and joins -------------------------------------------------------------
+
+def bound_search_tables(names, up):
+    """The former constructor's search, kept as the oracle: per pair, the
+    first common lower (upper) bound whose down-set (up-set) holds all the
+    others. (meet, join), or the NotALattice message of the first failure."""
+    n = len(names)
+    down = [0] * n
+    for i in range(n):
+        for j in iter_bits(up[i]):
+            down[j] |= 1 << i
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            for rel, table, what in ((down, meet, "greatest lower"), (up, join, "least upper")):
+                common = rel[i] & rel[j]
+                found = [c for c in iter_bits(common) if common & ~rel[c] == 0]
+                if not found:
+                    return (f"elements {names[i]!r} and {names[j]!r} "
+                            f"have no unique {what} bound")
+                table[i][j] = table[j][i] = found[0]
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def relabelled_up(up):
+    """The same order with element i relabelled n - 1 - i, top first."""
+    n = len(up)
+    return tuple(sum(1 << (n - 1 - j) for j in iter_bits(up[i])) for i in reversed(range(n)))
+
+
+def test_meet_and_join_lookup_match_the_bound_search(monkeypatch):
+    # every up-tuple the exhaustive search closes for n <= 7, lattice or not,
+    # and each relabelled top first: a natural labelling meets a missing
+    # join first
+    ups = []
+    real = search.Lattice
+    monkeypatch.setattr(search, "Lattice",
+                        lambda names, up: ups.append((names, up)) or real(names, up))
+    for n in range(1, 8):
+        for _ in _exhaustive_lattices(n):
+            pass
+    lattices, messages = 0, set()
+    for names, up in ups + [(names, relabelled_up(up)) for names, up in ups]:
+        want = bound_search_tables(names, up)
+        try:
+            lat = Lattice(names, up)
+        except NotALattice as exc:
+            assert str(exc) == want, up
+            messages.add(want.split(" have ")[1])
+            continue
+        assert (lat.meet, lat.join) == want, up
+        lattices += 1
+    assert lattices == 2 * (1 + 1 + 1 + 2 + 7 + 39 + 320)
+    assert messages == {"no unique greatest lower bound", "no unique least upper bound"}

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from quasimodules import (
     canonical,
     parse_qm,
     principal_ideal,
+    read_qm_file,
     standard_basis,
     verify_axioms,
 )
@@ -221,3 +223,20 @@ def test_orthogonal_agrees_with_inner_product():
     for _ in range(2000):
         p, q = rng.randrange(qm.size), rng.randrange(qm.size)
         assert qm.orthogonal(p, q) == (qm.inner(p, q) == qm.lattice.bottom)
+
+
+SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench", "specs")
+
+
+def test_scalar_orbits_match_smul():
+    specs = [read_qm_file(os.path.join(SPECS, name)) for name in sorted(os.listdir(SPECS))]
+    for qm in (*specs, *KERNEL_INSTANCES):
+        orbits = qm.scalar_orbits()
+        assert len(orbits) == qm.size
+        for p in range(qm.size):
+            want = 0
+            for c in range(qm.lattice.n):
+                want |= 1 << qm.smul(c, p)
+            assert orbits[p] == want, (qm, p)
+        assert qm.scalar_orbits() is orbits
