@@ -296,8 +296,8 @@ def _cmd_export_dot(args):
             text = _dot_text(subs.names(), subs.covers(), "subquasimodules")
         else:
             closed = closed_subquasimodules(qm)
-            names = [subs.name_of_mask(m) for m in closed.base.nodes]
-            text = _dot_text(names, closed.base.covers(), "closed")
+            names = [subs.name_of_mask(m) for m in closed.nodes]
+            text = _dot_text(names, closed.covers(), "closed")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

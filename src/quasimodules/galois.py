@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .bitset import iter_bits, superset_masks
+from .bitset import iter_bits
 from .errors import (
     CompanionNotClosed,
     CompanionOverlap,
@@ -158,35 +158,32 @@ def closed_sets(qm):
     return nodes
 
 
-class ClosedLattice(FrozenRecord):
-    """The complete lattice of closed subquasimodules with its involution."""
+class ClosedLattice(SubQMLattice):
+    """The complete lattice of closed subquasimodules with its involution:
+    `perp_map[i]` is the index of node i's companion, itself a node.
 
-    __slots__ = ("base", "perp_map")
+    Join is the double companion of the union. Raises CompanionNotClosed if
+    the companion of some node is not a node.
+    """
 
-    def __init__(self, base, perp_map):
-        set_field(self, "base", base)
-        set_field(self, "perp_map", perp_map)
-
-    @property
-    def qm(self):
-        return self.base.qm
-
-    @property
-    def nodes(self):
-        return self.base.nodes
-
-    def __len__(self):
-        return len(self.base)
+    def __init__(self, qm, node_masks):
+        super().__init__(qm, node_masks, join_closure=lambda m: perp(qm, perp(qm, m)),
+                         kind="closed")
+        perp_map = []
+        for mask in self.nodes:
+            pm = perp(qm, mask)
+            if pm not in self.index:
+                raise CompanionNotClosed(
+                    f"companion of closed set {qm.label_sets(mask)} is not closed")
+            perp_map.append(self.index[pm])
+        self.perp_map = tuple(perp_map)
 
     def perp_node(self, i):
         return self.perp_map[i]
 
-    def node(self, i):
-        return self.base.node(i)
-
 
 def closed_subquasimodules(qm):
-    """The lattice of closed subquasimodules; requires 0-distributive factors.
+    """The ClosedLattice of qm; requires 0-distributive factors.
 
     Every closed set is an intersection of axis companions, which are closed
     themselves, so all closed sets are subquasimodules iff those are. The
@@ -203,17 +200,7 @@ def closed_subquasimodules(qm):
                 f"companion {qm.label_sets(mask)} of axis vector "
                 f"{qm.vector_labels(p)} is not a subquasimodule "
                 f"despite 0-distributive factors (witness {witness})")
-    base = SubQMLattice(qm, closed_sets(qm),
-                        join_closure=lambda m: perp(qm, perp(qm, m)),
-                        kind="closed")
-    perp_map = []
-    for mask in base.nodes:
-        pm = perp(qm, mask)
-        if pm not in base.index:
-            raise CompanionNotClosed(
-                f"companion of closed set {qm.label_sets(mask)} is not closed")
-        perp_map.append(base.index[pm])
-    qm._closed = ClosedLattice(base, tuple(perp_map))
+    qm._closed = ClosedLattice(qm, closed_sets(qm))
     return qm._closed
 
 
@@ -249,7 +236,7 @@ def is_splitting(qm, sub):
     the companion of one of its nodes is read from its involution.
     """
     closed = qm._closed
-    i = None if closed is None else closed.base.index.get(sub.members)
+    i = None if closed is None else closed.index.get(sub.members)
     companion = perp(qm, sub.members) if i is None else closed.nodes[closed.perp_map[i]]
     if sub.members & companion != 1 << qm.zero:
         raise CompanionOverlap(
@@ -343,22 +330,23 @@ class ClosedIso(FrozenRecord):
 
     `factor_closed` holds, per factor, the tuple of its closed element masks.
     `assignments` pairs each choice of per-factor closed element sets with
-    the carrier mask of their product. The verification flags record
-    bijectivity onto the closed lattice and order preservation both ways.
+    the carrier mask of their product. `bijective` records that the images
+    are distinct and are exactly the closed nodes. The map preserves and
+    reflects order with no check: every factor set holds bottom, and one
+    product of non-empty sets lies in another iff each component does.
     """
 
-    __slots__ = ("qm", "factor_closed", "assignments", "bijective", "order_embedding")
+    __slots__ = ("qm", "factor_closed", "assignments", "bijective")
 
-    def __init__(self, qm, factor_closed, assignments, bijective, order_embedding):
+    def __init__(self, qm, factor_closed, assignments, bijective):
         set_field(self, "qm", qm)
         set_field(self, "factor_closed", factor_closed)
         set_field(self, "assignments", assignments)
         set_field(self, "bijective", bijective)
-        set_field(self, "order_embedding", order_embedding)
 
     @property
     def is_isomorphism(self):
-        return self.bijective and self.order_embedding
+        return self.bijective
 
 
 def closed_lattice_iso(qm):
@@ -379,36 +367,4 @@ def closed_lattice_iso(qm):
 
     bijective = (len(images) == len(assignments) == len(closed)
                  and images == set(closed.nodes))
-    return ClosedIso(qm, tuple(factor_closed), tuple(assignments),
-                     bijective, is_order_embedding(assignments))
-
-
-def is_order_embedding(assignments):
-    """True iff, for every pair of (choice, image) assignments, the choices
-    are included coordinatewise exactly when the images are included.
-
-    Row a is compared as two bitsets over assignment indices: the AND over
-    coordinates i of "assignments whose i-th set contains a's i-th set", and
-    the AND over a's image positions of "assignments whose image holds the
-    position". Stops at the first row that differs.
-    """
-    if not assignments:
-        return True
-    k = len(assignments[0][0])
-    with_value = [{} for _ in range(k)]   # i -> {set: assignments choosing it}
-    for b, (choice, _) in enumerate(assignments):
-        for i, y in enumerate(choice):
-            with_value[i][y] = with_value[i].get(y, 0) | 1 << b
-    # the assignments choosing different sets are disjoint, so sum is their OR
-    above = [{x: sum(bits for y, bits in by.items() if x & ~y == 0) for x in by}
-             for by in with_value]
-    everything = (1 << len(assignments)) - 1
-    by_images = superset_masks([image for _, image in assignments])
-    for (choice, _), by_image in zip(assignments, by_images):
-        by_choice = everything
-        for i, x in enumerate(choice):
-            by_choice &= above[i][x]
-        if by_choice != by_image:
-            return False
-    return True
-
+    return ClosedIso(qm, tuple(factor_closed), tuple(assignments), bijective)

@@ -1,14 +1,18 @@
-"""The benchmark's CLI jobs reproduce their frozen output.
+"""The benchmark's jobs reproduce their frozen output.
 
 Each CLI job of perfbench/workloads.json runs at seed 0 as a child
 interpreter, and its exit code and stdout sha256 must equal those in
-perfbench/expected.json. Only those two files are read. The child runs in a
-temporary directory that holds a `perfbench` link to the repository's, so
-the job paths resolve and report files land outside the checkout. The
-`qm verify` jobs and `search.max4` run a second time under `python -O`.
+perfbench/expected.json. The child runs in a temporary directory that holds
+a `perfbench` link to the repository's, so the job paths resolve and report
+files land outside the checkout. The `qm verify` jobs and `search.max4` run
+a second time under `python -O`. The library jobs (subs-ladder and
+closed-products) run in this process through `run_library_job` of
+perfbench/jobs.py, and its `check` compares them with expected.json; that
+module is loaded by path and only read.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -26,8 +30,9 @@ def load(name):
         return json.load(fh)
 
 
-CLI_JOBS = [job for workload in load("workloads.json").values()
-            for job in workload["jobs"] if job["kind"] == "cli"]
+JOBS = [job for workload in load("workloads.json").values() for job in workload["jobs"]]
+CLI_JOBS = [job for job in JOBS if job["kind"] == "cli"]
+LIBRARY_JOBS = [job for job in JOBS if job["kind"] != "cli"]
 
 
 # The law suite's jobs again under `python -O`, where an `assert` in the
@@ -56,3 +61,19 @@ def test_cli_job_reproduces_frozen_stdout(job, tmp_path):
 @pytest.mark.parametrize("job", OPTIMIZED_JOBS, ids=[job["id"] for job in OPTIMIZED_JOBS])
 def test_cli_job_reproduces_frozen_stdout_under_python_O(job, tmp_path):
     run_job(job, tmp_path, "-O")
+
+
+def load_jobs_module():
+    spec = importlib.util.spec_from_file_location("perfbench_jobs",
+                                                  os.path.join(PERFBENCH, "jobs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("job", LIBRARY_JOBS, ids=[job["id"] for job in LIBRARY_JOBS])
+def test_library_job_reproduces_frozen_output(job):
+    # the job's spec path is relative to the repository root
+    jobs = load_jobs_module()
+    output = jobs.run_library_job(dict(job, spec=os.path.join(ROOT, job["spec"])))
+    assert jobs.check(job, output, load("expected.json"), 0) == []

@@ -26,7 +26,7 @@ from quasimodules import (
     sum_set,
 )
 from quasimodules import galois
-from quasimodules.bitset import iter_bits, mask_of
+from quasimodules.bitset import iter_bits, mask_of, superset_masks
 from quasimodules.errors import (
     CompanionNotClosed,
     CompanionOverlap,
@@ -38,10 +38,10 @@ from quasimodules.errors import (
 from quasimodules.galois import (
     closed_sets,
     factor_zero_distributivity,
-    is_order_embedding,
     principal_perp,
     product_mask,
 )
+from quasimodules.subquasi import SubQMLattice
 from quasimodules.verify import SearchConfig
 from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 
@@ -438,14 +438,88 @@ def test_principal_perp_matches_componentwise(qm):
         assert principal_perp(qm, p) == want
 
 
+def old_is_order_embedding(assignments):
+    """The former order-embedding scan of closed_lattice_iso, kept as the
+    oracle: True iff, for every pair of (choice, image) assignments, the
+    choices are included coordinatewise exactly when the images are.
+
+    Row a is compared as two bitsets over assignment indices: the AND over
+    coordinates i of "assignments whose i-th set contains a's i-th set", and
+    the AND over a's image positions of "assignments whose image holds the
+    position"."""
+    if not assignments:
+        return True
+    k = len(assignments[0][0])
+    with_value = [{} for _ in range(k)]   # i -> {set: assignments choosing it}
+    for b, (choice, _) in enumerate(assignments):
+        for i, y in enumerate(choice):
+            with_value[i][y] = with_value[i].get(y, 0) | 1 << b
+    # the assignments choosing different sets are disjoint, so sum is their OR
+    above = [{x: sum(bits for y, bits in by.items() if x & ~y == 0) for x in by}
+             for by in with_value]
+    everything = (1 << len(assignments)) - 1
+    by_images = superset_masks([image for _, image in assignments])
+    for (choice, _), by_image in zip(assignments, by_images):
+        by_choice = everything
+        for i, x in enumerate(choice):
+            by_choice &= above[i][x]
+        if by_choice != by_image:
+            return False
+    return True
+
+
 def test_order_embedding_catches_broken_assignments(ex1_qm):
+    # the oracle is not vacuous: swapping two images breaks it
     assignments = list(closed_lattice_iso(ex1_qm).assignments)
-    assert is_order_embedding(assignments)
+    assert old_is_order_embedding(assignments)
     # swap the images of the bottom and top assignments
     (c0, m0), (c1, m1) = assignments[0], assignments[-1]
     assignments[0], assignments[-1] = (c0, m1), (c1, m0)
-    assert not is_order_embedding(assignments)
-    assert is_order_embedding([])
+    assert not old_is_order_embedding(assignments)
+    assert old_is_order_embedding([])
+
+
+ZERO_DISTRIBUTIVE = [(spec, read_qm_file(os.path.join(SPECS, spec)))
+                     for spec in sorted(os.listdir(SPECS))]
+ZERO_DISTRIBUTIVE += [(name, qm) for name, qm in zip(("ex1", "m3-x-a", "n5-pow4"),
+                                                     KERNEL_INSTANCES)
+                      if galois.zero_distributivity_defect(qm) is None]
+
+
+@pytest.mark.parametrize("name, qm", ZERO_DISTRIBUTIVE, ids=[n for n, _ in ZERO_DISTRIBUTIVE])
+def test_product_map_is_an_order_embedding(name, qm):
+    # closed_lattice_iso no longer checks order: each factor set holds the
+    # zero element, and one product of non-empty sets lies in another iff
+    # each component does
+    iso = closed_lattice_iso(qm)
+    assert iso.is_isomorphism
+    assert all(1 << qm.lattice.bottom & em for f in iso.factor_closed for em in f)
+    assert old_is_order_embedding(iso.assignments)
+
+
+def test_product_map_is_an_order_embedding_on_small_lattices():
+    # every lattice up to 6 elements, each factor tuple the search tries
+    cfg = SearchConfig(max_lattice_size=6)
+    cases = 0
+    for n in range(1, 7):
+        for lat in _exhaustive_lattices(n):
+            for factors in _factor_variants(lat, cfg):
+                qm = canonical(lat, factors)
+                if galois.zero_distributivity_defect(qm) is None:
+                    iso = closed_lattice_iso(qm)
+                    assert iso.is_isomorphism, (lat.up, factors)
+                    assert old_is_order_embedding(iso.assignments), (lat.up, factors)
+                    cases += 1
+    assert cases == 216
+
+
+def test_closed_lattice_is_a_subquasimodule_lattice(ex1_qm):
+    closed = closed_subquasimodules(ex1_qm)
+    assert isinstance(closed, SubQMLattice) and closed.kind == "closed"
+    assert not hasattr(closed, "base")
+    for i, mask in enumerate(closed.nodes):
+        assert closed.nodes[closed.perp_node(i)] == perp(ex1_qm, mask)
+        assert closed.perp_map[closed.perp_map[i]] == i
 
 
 # -- library-bug errors ----------------------------------------------------------

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from quasimodules.galois import ClosedIso, ClosedLattice, FactorizationWitness, TaggedSet
+from quasimodules.galois import ClosedIso, FactorizationWitness, TaggedSet
 from quasimodules.lattice import Ideal
 from quasimodules.quasimodule import AxiomCheck, AxiomReport, RawQM
 from quasimodules.subquasi import SubQM
@@ -18,10 +18,8 @@ RECORDS = [
     (Ideal, ("lattice", "members"), {}, True),
     (SubQM, ("qm", "members"), {}, True),
     (TaggedSet, ("qm", "members", "violation"), {}, True),
-    (ClosedLattice, ("base", "perp_map"), {}, True),
     (FactorizationWitness, ("qm", "factor_masks"), {}, True),
-    (ClosedIso, ("qm", "factor_closed", "assignments", "bijective", "order_embedding"),
-     {}, True),
+    (ClosedIso, ("qm", "factor_closed", "assignments", "bijective"), {}, True),
     (RawQM, ("lattice", "add", "smul", "zero"), {}, True),
     (AxiomCheck, ("name", "holds", "witness"), {"witness": None}, True),
     (AxiomReport, ("checks",), {}, True),

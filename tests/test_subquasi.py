@@ -302,7 +302,7 @@ def test_subqm_covers_match_definition(lattice_name, factor_gens):
     qm = qm_from(lattice_name, factor_gens)
     lattices = [all_subquasimodules(qm)]
     if lattice_name != "m3":
-        lattices.append(closed_subquasimodules(qm).base)
+        lattices.append(closed_subquasimodules(qm))
     for lat in lattices:
         assert lat.covers() == definition(lat)
 

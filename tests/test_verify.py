@@ -20,8 +20,8 @@ from quasimodules import (
     replay_witness,
 )
 from quasimodules import galois
-from quasimodules.bitset import bit_key, iter_bits
-from quasimodules.errors import Error, NotZeroDistributive, UnknownInstance
+from quasimodules.bitset import bit_key, iter_bits, mask_of
+from quasimodules.errors import Error, NotClosed, NotZeroDistributive, UnknownInstance
 from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConfig
 from quasimodules.verify import laws, search
 from quasimodules.verify.instances import is_boolean_shape
@@ -620,7 +620,7 @@ def old_th2_ii(ctx):
     pool, note = ctx.subset_pool
     for a in pool:
         dd = ctx.dd_of(a)
-        if a & ~dd or dd not in ctx.closed.base.index:
+        if a & ~dd or dd not in ctx.closed.index:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
         for n in nodes:
             if a & ~n == 0 and dd & ~n:
@@ -634,7 +634,7 @@ def old_th2_iii(ctx):
     for a in nodes:
         for b in nodes:
             join = ctx.dd_of(a | b)
-            if join not in ctx.closed.base.index or (a | b) & ~join:
+            if join not in ctx.closed.index or (a | b) & ~join:
                 return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), None
             for n in nodes:
                 if (a | b) & ~n == 0 and join & ~n:
@@ -651,9 +651,9 @@ def old_th2_iv(ctx):
     nodes = closed.nodes
     for i, a in enumerate(nodes):
         pa = ctx.perp[a]
-        if pa not in closed.base.index or ctx.perp[pa] != a:
+        if pa not in closed.index or ctx.perp[pa] != a:
             return FAIL, ctx.doc(node=ctx.labels(a)), None
-        if closed.perp_map[i] != closed.base.index[pa]:
+        if closed.perp_map[i] != closed.index[pa]:
             return FAIL, ctx.doc(node=ctx.labels(a)), None
     for a in nodes:
         for b in nodes:
@@ -665,7 +665,7 @@ def old_th2_iv(ctx):
 @laws._hyp_guard
 def old_th2_v(ctx):
     closed = ctx.closed
-    index = closed.base.index
+    index = closed.index
     nodes = closed.nodes
     if ctx.zmask not in index or ctx.full not in index:
         return FAIL, ctx.doc(), None
@@ -791,6 +791,72 @@ def test_subset_clauses_keep_subset_walk_statuses(name):
         assert poison is not None or statuses <= {PASS, HYP}
     assert {"rem1.i", "rem1.iii", "lem4.iv"} <= fails
     assert name == "m3xa" or {"th2.ii", "th2.iii", "th2.iv"} <= fails
+
+
+@laws._hyp_guard
+def old_th3(ctx):
+    """The former th3, kept as the oracle: factorize_closed on every closed
+    node, which raises on a violation, then every product of factor closed
+    sets must be a closed node."""
+    qm = ctx.qm
+    for mask in ctx.closed.nodes:
+        galois.factorize_closed(qm, SubQM(qm, mask))  # raises on violation
+    index = ctx.closed.index
+    for choice, image in ctx.iso.assignments:
+        if image not in index:
+            labels = [list(qm.lattice.labels(m)) for m in choice]
+            return FAIL, ctx.doc(factor_choice=labels), None
+    return PASS, None, None
+
+
+def violates_th3(qm, closed, witness):
+    """True iff a th3 FAIL witness names a closed node that is not the product
+    of closed projections, or a product of closed factor sets that is no
+    closed node."""
+    if "factor_choice" in witness:
+        choice = [mask_of(map(qm.lattice.index, labels))
+                  for labels in witness["factor_choice"]]
+        return galois.product_mask(qm, choice) not in closed
+    node = _mask(qm, witness["node"])
+    fqms = [qm.factor_qm(i) for i in range(len(qm.factors))]
+    parts = [qm.project(node, i) for i in range(len(fqms))]
+    parts_closed = all(galois.is_closed(fqm, galois.factor_carrier_mask(fqm, em))
+                       for fqm, em in zip(fqms, parts))
+    return node in closed and (not parts_closed or galois.product_mask(qm, parts) != node)
+
+
+def test_th3_reads_the_product_map():
+    # the 0-distributive SUBSET_INSTANCES, poisoned: where the closed lattice
+    # builds, the new th3 agrees with the former one, but where
+    # factorize_closed raised it gives a record
+    split = {}
+    for name in ("ex1", "chain3sq", "bool2xa", "fig5", "n5xb", "chain4sq"):
+        for poison, qm in poisoned(*SUBSET_INSTANCES[name]):
+            new, old = laws._Ctx(qm, Budgets(), name), laws._Ctx(qm, Budgets(), name)
+            status, witness = _outcome(laws._c_th3, new)
+            key = (_outcome(old_th3, old)[0], status)
+            split[key] = split.get(key, 0) + 1
+            if status == FAIL:
+                assert violates_th3(qm, set(new.closed.nodes), witness), (name, poison)
+    assert split == {(PASS, PASS): 75,
+                     ("CompanionNotClosed", "CompanionNotClosed"): 10,
+                     ("FactorizationFailed", "FactorizationFailed"): 90,
+                     ("NotClosed", FAIL): 3, ("NotClosed", PASS): 2,
+                     ("FactorizationFailed", FAIL): 3}
+
+
+def test_th3_catches_a_product_that_is_no_closed_node():
+    # fig5 with b orthogonal to every vector: the companion {0, a, c} of b
+    # is no longer a generator, so its product is no closed node, while
+    # every closed node still factors; the former th3 raised here
+    qm = qm_from("fig5", ["*"])
+    qm._pperp[qm.vector("b")] = qm.full_mask
+    new, old = laws._Ctx(qm, Budgets(), "fig5"), laws._Ctx(qm, Budgets(), "fig5")
+    status, witness, _ = laws._c_th3(new)
+    assert (status, witness["factor_choice"]) == (FAIL, [["0", "a", "c"]])
+    assert violates_th3(qm, set(new.closed.nodes), witness)
+    with pytest.raises(NotClosed):
+        old_th3(old)
 
 
 # -- the generator pairs against the former sampled pair pool ----------------
