@@ -44,11 +44,11 @@ def principal_perp(qm, p):
     meet = qm.lattice.meet
     b = qm.lattice.bottom
     out = qm.full_mask
-    for i, x in enumerate(qm.carrier[p]):
+    for x, slabs in zip(qm.carrier[p], qm.slabs()):
         layer = 0
-        for e in iter_bits(qm.factors[i].members):
+        for e, slab in slabs:
             if meet[x][e] == b:
-                layer |= qm.coord_mask(i, e)
+                layer |= slab
         out &= layer
     qm._pperp[p] = out
     return out
@@ -216,12 +216,16 @@ def sum_set(qm, vectors_a, vectors_b):
     """Bitmask of all pairwise sums x + y with x from A and y from B.
 
     The OR, over the members p of the smaller set, of the image of the other
-    set under q -> p + q (CanonicalQM.image); addition commutes.
+    set under q -> p + q (CanonicalQM.image); addition commutes. When the
+    smaller set is {zero} the sum is the other set, since zero is the
+    identity of addition, and no image is taken.
     """
     mask_a = qm.mask(vectors_a)
     mask_b = qm.mask(vectors_b)
     if mask_a.bit_count() > mask_b.bit_count():
         mask_a, mask_b = mask_b, mask_a
+    if mask_a == 1 << qm.zero:
+        return mask_b
     out = 0
     for p in iter_bits(mask_a):
         out |= qm.image(mask_b, "add", p)
@@ -273,14 +277,19 @@ class FactorizationWitness(FrozenRecord):
 
 
 def product_mask(qm, element_masks):
-    """Carrier bitmask of the product of one element subset per factor."""
+    """Carrier bitmask of the product of one element subset per factor.
+
+    Per factor, the OR of the slab rows (CanonicalQM.slabs) of the elements
+    in its subset; elements outside the factor add nothing.
+    """
     if len(element_masks) != len(qm.factors):
         raise ValueError("need one element mask per factor")
     out = qm.full_mask
-    for i, em in enumerate(element_masks):
+    for em, slabs in zip(element_masks, qm.slabs()):
         layer = 0
-        for e in iter_bits(em):
-            layer |= qm.coord_mask(i, e)
+        for e, slab in slabs:
+            if em >> e & 1:
+                layer |= slab
         out &= layer
     return out
 

@@ -39,7 +39,7 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_pperp", "_orbits", "_factor_qms", "_closed", "_coord_masks", "_moves",
+                 "_pperp", "_orbits", "_factor_qms", "_closed", "_slabs", "_moves",
                  "_steps")
 
     def __init__(self, lattice, factors, carrier, index):
@@ -55,7 +55,7 @@ class CanonicalQM:
         self._factor_qms = {}
         # the ClosedLattice, set by closed_subquasimodules once its checks pass
         self._closed = None
-        self._coord_masks = None
+        self._slabs = None
         # (kind, factor, element) -> [(slab, shift)], shared by the steps
         self._moves = {}
         # (kind, a) -> tuple of the non-identity move lists, filled by image()
@@ -170,23 +170,34 @@ class CanonicalQM:
         return (1 << self.size) - 1
 
     def project(self, vectors, i):
-        """Element bitmask of the i-th coordinates of a carrier subset."""
+        """Element bitmask of the i-th coordinates of a carrier subset: the
+        elements e whose slab coord_mask(i, e) meets it."""
         if not 0 <= i < len(self.factors):
             raise IndexOutOfRange(f"factor index out of range: {i}")
+        mask = self.mask(vectors)
         out = 0
-        for p in iter_bits(self.mask(vectors)):
-            out |= 1 << self.carrier[p][i]
+        for e, slab in self.slabs()[i]:
+            if mask & slab:
+                out |= 1 << e
         return out
 
-    def coord_mask(self, i, element):
-        """Carrier bitmask of all vectors whose i-th coordinate is `element`."""
-        if self._coord_masks is None:
+    def slabs(self):
+        """Per factor i, the pairs (e, coord_mask(i, e)) over its members in
+        index order; built once."""
+        if self._slabs is None:
             masks = [{} for _ in self.factors]
             for p, u in enumerate(self.carrier):
                 for k, a in enumerate(u):
                     masks[k][a] = masks[k].get(a, 0) | 1 << p
-            self._coord_masks = masks
-        return self._coord_masks[i].get(element, 0)
+            self._slabs = tuple(tuple(sorted(m.items())) for m in masks)
+        return self._slabs
+
+    def coord_mask(self, i, element):
+        """Carrier bitmask of all vectors whose i-th coordinate is `element`."""
+        for e, slab in self.slabs()[i]:
+            if e == element:
+                return slab
+        return 0
 
     def image(self, mask, kind, a):
         """Bitmask of {a + q : q in mask} (kind "add", a a carrier position)
@@ -239,13 +250,13 @@ class CanonicalQM:
         Slabs with equal shifts are merged; an identity map gives [].
         """
         op = self.lattice.join if kind == "add" else self.lattice.meet
-        members = list(iter_bits(self.factors[i].members))
-        loc = {e: k for k, e in enumerate(members)}
+        slabs = self.slabs()[i]
+        loc = {e: k for k, (e, _) in enumerate(slabs)}
         stride = prod(f.members.bit_count() for f in self.factors[i + 1:])
         by_shift = {}
-        for e in members:
+        for e, slab in slabs:
             shift = (loc[op[x][e]] - loc[e]) * stride
-            by_shift[shift] = by_shift.get(shift, 0) | self.coord_mask(i, e)
+            by_shift[shift] = by_shift.get(shift, 0) | slab
         if by_shift.keys() == {0}:
             return []
         return [(slab, shift) for shift, slab in by_shift.items()]

@@ -84,12 +84,20 @@ def is_subquasimodule(qm, vectors):
     Violations are checked in order: zero membership, then addition over
     member pairs (p, q >= p) in position order, then every scalar action.
     Witness forms: ("zero",), ("add", p, q, p+q), ("smul", c, p, c*p).
-    Each row is tested as one subset image (CanonicalQM.image); only a row
-    that leaves the set is scanned pair by pair for its first witness.
+
+    A set that is the product of its projections is decided on the factors
+    (Lemma 6(ii)): it holds iff each projection is closed under join and
+    under meet with every scalar. Only a "holds" is returned that way; any
+    other set, and any product that fails, goes to the scan, so witnesses do
+    not depend on the shortcut. The scan tests each row as one subset image
+    (CanonicalQM.image); only a row that leaves the set is scanned pair by
+    pair for its first witness.
     """
     mask = qm.mask(vectors)
     if not mask >> qm.zero & 1:
         return False, ("zero",)
+    if _holds_on_factors(qm, mask):
+        return True, None
     outside = ~mask
     for p in iter_bits(mask):
         row = mask >> p << p
@@ -107,6 +115,38 @@ def is_subquasimodule(qm, vectors):
                 if outside >> s & 1:
                     return False, ("smul", c, p, s)
     return True, None
+
+
+def _holds_on_factors(qm, mask):
+    """True iff mask is the product of its projections and each projection
+    is closed under join and scalar meet; mask must hold zero.
+
+    {c ^ e : c in L} is the down-set of e, so scalar closure of a projection
+    is one mask test per element.
+    """
+    product = qm.full_mask
+    parts = []
+    for slabs in qm.slabs():
+        em = layer = 0
+        for e, slab in slabs:
+            if mask & slab:
+                em |= 1 << e
+                layer |= slab
+        product &= layer
+        parts.append(em)
+    if product != mask:
+        return False
+    join, down = qm.lattice.join, qm.lattice.down
+    for em in parts:
+        elements = list(iter_bits(em))
+        for k, a in enumerate(elements):
+            if down[a] & ~em:
+                return False
+            row = join[a]
+            for b in elements[k + 1:]:
+                if not em >> row[b] & 1:
+                    return False
+    return True
 
 
 class SubQMLattice:

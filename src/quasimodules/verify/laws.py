@@ -530,11 +530,17 @@ def _c_lem6_i(ctx):
     if subs is None:
         return BUDGET, None, ctx._subs_note
     qm = ctx.qm
+    # a (factor, projection) pair seen before has passed, so each distinct
+    # pair is tested once and the first failing node stays the same
+    seen = set()
     for mask in subs.nodes:
         for i in range(len(qm.factors)):
+            em = qm.project(mask, i)
+            if (i, em) in seen:
+                continue
+            seen.add((i, em))
             fqm = qm.factor_qm(i)
-            fmask = factor_carrier_mask(fqm, qm.project(mask, i))
-            ok, _ = is_subquasimodule(fqm, fmask)
+            ok, _ = is_subquasimodule(fqm, factor_carrier_mask(fqm, em))
             if not ok:
                 return FAIL, ctx.doc(subquasimodule=ctx.labels(mask), factor=i), None
     return PASS, None, None

@@ -1,7 +1,14 @@
+import os
+
 import pytest
 from hypothesis import strategies as st
 
 from quasimodules import builtin, canonical, principal_ideal
+
+
+# the bundled quasimodule specs of the benchmark
+SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench", "specs")
 
 
 def qm_from(lattice_name, factor_gens):

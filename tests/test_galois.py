@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -31,7 +32,9 @@ from quasimodules.errors import (
     CompanionNotClosed,
     CompanionOverlap,
     FactorizationFailed,
+    IndexOutOfRange,
     NotClosed,
+    NotInCarrier,
     NotZeroDistributive,
     SplittingNotClosed,
 )
@@ -46,7 +49,7 @@ from quasimodules.verify import SearchConfig
 from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 
 import golden
-from conftest import KERNEL_INSTANCES, qm_from, sparse_mask
+from conftest import KERNEL_INSTANCES, SPECS, qm_from, sparse_mask
 
 
 def vecmask(qm, label_tuples):
@@ -279,10 +282,6 @@ def test_closed_sets_equal_fixed_point_filter(ex1_qm, m3_qm):
         assert closed_sets(qm) == brute
 
 
-SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "specs")
-
-
 @pytest.mark.parametrize("spec", sorted(os.listdir(SPECS)))
 def test_closed_sets_match_saturation(spec):
     # oracle: saturate the principal companions under pairwise intersection,
@@ -412,8 +411,15 @@ def test_closed_count_is_the_product_of_factor_counts(qm):
 
 @st.composite
 def qm_and_two_masks(draw):
+    """Two sparse masks; either may be {zero}, the identity of addition."""
     qm = draw(st.sampled_from(KERNEL_INSTANCES))
-    return qm, sparse_mask(draw, qm), sparse_mask(draw, qm)
+    a, b = sparse_mask(draw, qm), sparse_mask(draw, qm)
+    zero_side = draw(st.sampled_from((None, 0, 1)))
+    if zero_side == 0:
+        a = 1 << qm.zero
+    elif zero_side == 1:
+        b = 1 << qm.zero
+    return qm, a, b
 
 
 @given(qm_and_two_masks())
@@ -436,6 +442,69 @@ def test_principal_perp_matches_componentwise(qm):
             if all(meet[x][y] == b for x, y in zip(u, v)):
                 want |= 1 << q
         assert principal_perp(qm, p) == want
+
+
+def walk_project(qm, vectors, i):
+    """The former CanonicalQM.project, kept as the oracle: a walk over the
+    members."""
+    if not 0 <= i < len(qm.factors):
+        raise IndexOutOfRange(f"factor index out of range: {i}")
+    out = 0
+    for p in iter_bits(qm.mask(vectors)):
+        out |= 1 << qm.carrier[p][i]
+    return out
+
+
+def per_element_product_mask(qm, element_masks):
+    """The former product_mask, kept as the oracle: one coord_mask call per
+    element."""
+    if len(element_masks) != len(qm.factors):
+        raise ValueError("need one element mask per factor")
+    out = qm.full_mask
+    for i, em in enumerate(element_masks):
+        layer = 0
+        for e in iter_bits(em):
+            layer |= qm.coord_mask(i, e)
+        out &= layer
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (IndexOutOfRange, NotInCarrier, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("spec", sorted(os.listdir(SPECS)))
+def test_slab_project_and_product_match_the_walks(spec):
+    qm = read_qm_file(os.path.join(SPECS, spec))
+    k, n = len(qm.factors), qm.lattice.n
+    for i, slabs in enumerate(qm.slabs()):
+        assert [e for e, _ in slabs] == list(iter_bits(qm.factors[i].members))
+        for e in range(n):
+            assert qm.coord_mask(i, e) == mask_of(
+                p for p, u in enumerate(qm.carrier) if u[i] == e)
+    rng = random.Random(spec)
+    masks = [*closed_sets(qm), 0, *(rng.getrandbits(qm.size) & rng.getrandbits(qm.size)
+                                    for _ in range(20))]
+    for mask in masks:
+        parts = []
+        for i in (-1, *range(k), k):
+            got = outcome(qm.project, mask, i)
+            assert got == outcome(walk_project, qm, mask, i), (mask, i)
+            if 0 <= i < k:
+                parts.append(got)
+        assert product_mask(qm, parts) == per_element_product_mask(qm, parts)
+        stray = [rng.getrandbits(n) for _ in range(k)]
+        assert product_mask(qm, stray) == per_element_product_mask(qm, stray)
+    for outside in (1 << qm.size, qm.full_mask + 1, -1):
+        assert outcome(qm.project, outside, 0) is NotInCarrier
+        assert outcome(walk_project, qm, outside, 0) is NotInCarrier
+    for wrong in ((), (1,) * (k + 1)):
+        assert outcome(product_mask, qm, wrong) is ValueError
+    for node in closed_sets(qm):
+        assert product_mask(qm, [qm.project(node, i) for i in range(k)]) == node
 
 
 def old_is_order_embedding(assignments):

@@ -23,7 +23,7 @@ from quasimodules.errors import (
     ParseError,
 )
 
-from conftest import KERNEL_INSTANCES, qm_from, sparse_mask
+from conftest import KERNEL_INSTANCES, SPECS, qm_from, sparse_mask
 
 
 def test_carrier_enumeration(ex1_qm):
@@ -223,10 +223,6 @@ def test_orthogonal_agrees_with_inner_product():
     for _ in range(2000):
         p, q = rng.randrange(qm.size), rng.randrange(qm.size)
         assert qm.orthogonal(p, q) == (qm.inner(p, q) == qm.lattice.bottom)
-
-
-SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "specs")
 
 
 def test_scalar_orbits_match_smul():

@@ -1,3 +1,4 @@
+import os
 from itertools import combinations
 
 import pytest
@@ -17,18 +18,19 @@ from quasimodules import (
     principal_ideal,
     standard_basis,
 )
-from quasimodules.bitset import bit_key, iter_bits
-from quasimodules import subquasi
+from quasimodules.bitset import bit_key, iter_bits, mask_of
+from quasimodules import galois, read_qm_file, subquasi
 from quasimodules.errors import (
     BasisCheckFailed,
     EnumerationBudgetExceeded,
     LatticeBoundsMissing,
     NodeSetEscaped,
 )
+from quasimodules.quasimodule import CanonicalQM
 from quasimodules.subquasi import close_mask
 
 import golden
-from conftest import KERNEL_INSTANCES, qm_from, sparse_mask
+from conftest import KERNEL_INSTANCES, SPECS, qm_from, sparse_mask
 
 
 def labels_of(qm, mask):
@@ -381,14 +383,43 @@ def ordered_scan(qm, mask):
     return True, None
 
 
+def element_ideal(lattice, em):
+    """The least down-closed, join-closed element set holding em."""
+    while True:
+        grown = em
+        for a in iter_bits(em):
+            grown |= lattice.down[a]
+            for b in iter_bits(em):
+                grown |= 1 << lattice.join[a][b]
+        if grown == em:
+            return em
+        em = grown
+
+
+def product_of(qm, parts):
+    """The carrier mask of the vectors whose i-th coordinate is in parts[i]."""
+    return mask_of(p for p, u in enumerate(qm.carrier)
+                   if all(parts[i] >> a & 1 for i, a in enumerate(u)))
+
+
 @st.composite
 def qm_and_mask(draw):
-    """A random sparse mask, or a generated subquasimodule with one vector
-    dropped or added, so that every witness kind turns up."""
+    """A random sparse mask, a generated subquasimodule with one vector
+    dropped or added, or a product of per-factor element sets that hold
+    bottom, some of them closed to ideals, so that every witness kind and
+    both sides of the per-factor decision turn up."""
     qm = draw(st.sampled_from(KERNEL_INSTANCES))
-    kind = draw(st.sampled_from(("random", "closed", "dropped", "added")))
+    kind = draw(st.sampled_from(("random", "closed", "dropped", "added", "product")))
     if kind == "random":
         return qm, sparse_mask(draw, qm)
+    if kind == "product":
+        parts = []
+        for f in qm.factors:
+            em = 1 << qm.lattice.bottom | draw(st.integers(0, f.members)) & f.members
+            if draw(st.booleans()):
+                em = element_ideal(qm.lattice, em)
+            parts.append(em)
+        return qm, product_of(qm, parts)
     seeds = draw(st.lists(st.integers(0, qm.size - 1), max_size=3))
     mask = close_mask(qm, sum({1 << p for p in seeds}))
     if kind == "dropped":
@@ -399,10 +430,50 @@ def qm_and_mask(draw):
 
 
 @given(qm_and_mask())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_is_subquasimodule_matches_ordered_scan(case):
     qm, mask = case
     assert is_subquasimodule(qm, mask) == ordered_scan(qm, mask)
+
+
+@pytest.mark.parametrize("qm", KERNEL_INSTANCES[:2], ids=("ex1", "m3-x-a"))
+def test_is_subquasimodule_matches_ordered_scan_on_every_mask(qm):
+    assert qm.size <= 12
+    product_outcomes = set()
+    for mask in range(1 << qm.size):
+        got = is_subquasimodule(qm, mask)
+        assert got == ordered_scan(qm, mask), mask
+        parts = [qm.project(mask, i) for i in range(len(qm.factors))]
+        if mask >> qm.zero & 1 and product_of(qm, parts) == mask:
+            product_outcomes.add(got[0])
+    # products that hold and products that fall through to the scan
+    assert product_outcomes == {True, False}
+
+
+def test_closed_lattice_decides_axis_companions_on_the_factors(monkeypatch):
+    """Every axis companion is a product, so closed_subquasimodules never
+    falls back to the subset-image scan."""
+    qm = read_qm_file(os.path.join(SPECS, "bool3.cube.qm"))
+    calls = {"is_subquasimodule": 0, "image": 0}
+    inside = []
+    image = CanonicalQM.image
+
+    def counting_image(self, mask, kind, a):
+        calls["image"] += bool(inside)
+        return image(self, mask, kind, a)
+
+    def counting_is_subquasimodule(qm, vectors):
+        calls["is_subquasimodule"] += 1
+        inside.append(True)
+        try:
+            return is_subquasimodule(qm, vectors)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CanonicalQM, "image", counting_image)
+    monkeypatch.setattr(galois, "is_subquasimodule", counting_is_subquasimodule)
+    assert len(closed_subquasimodules(qm)) == 512
+    assert calls == {"is_subquasimodule": len(galois._axis_companions(qm)), "image": 0}
 
 
 # -- close_mask against the per-element worklist ----------------------------------
