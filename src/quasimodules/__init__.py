@@ -16,12 +16,11 @@ compiles only the modules its command runs.
 from importlib import import_module
 
 _HOMES = {
-    "galois": ("ClosedIso", "ClosedLattice", "FactorizationWitness", "TaggedSet",
-               "closed_join", "closed_lattice_iso", "closed_sets",
-               "closed_subquasimodules", "double_perp", "factor_zero_distributivity",
-               "factorize_closed", "is_closed", "is_splitting", "perp",
-               "principal_perp", "product_mask", "splitting_subquasimodules",
-               "sum_set"),
+    "galois": ("ClosedIso", "ClosedLattice", "TaggedSet", "closed_join",
+               "closed_lattice_iso", "closed_sets", "closed_subquasimodules",
+               "double_perp", "factor_zero_distributivity", "is_closed",
+               "is_splitting", "perp", "principal_perp", "product_mask",
+               "splitting_subquasimodules", "sum_set"),
     "lattice": ("Ideal", "Lattice", "build_lattice", "builtin", "builtin_covers",
                 "format_lattice", "is_0_distributive", "is_distributive", "is_ideal",
                 "is_modular", "load_lattice", "parse_lattice", "principal_ideal",

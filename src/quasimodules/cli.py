@@ -204,13 +204,12 @@ def _cmd_qm(args):
         return 0
 
     if action == "perp-table":
-        masks = list(subs.nodes)
-        if args.closed_only:
-            masks = [m for m in masks if perp(qm, perp(qm, m)) == m]
         rows = []
-        for mask in masks:
+        for mask in subs.nodes:
             companion = perp(qm, mask)
             double = perp(qm, companion)
+            if args.closed_only and double != mask:
+                continue
             rows.append((subs.name_of_mask(mask),
                          subs.name_of_mask(companion) if companion in subs.index
                          else _set_str(qm, companion),

@@ -1,5 +1,6 @@
 """Orthogonality companions, double-orthogonality closure, closed and
-splitting subquasimodule lattices, and product factorization of closed sets.
+splitting subquasimodule lattices, and the product map from the factor
+closed lattices onto the closed lattice.
 
 The companion of a subset A is every vector orthogonal to all of A. It equals
 the intersection of the companions of A's single vectors, which is how all
@@ -178,9 +179,6 @@ class ClosedLattice(SubQMLattice):
             perp_map.append(self.index[pm])
         self.perp_map = tuple(perp_map)
 
-    def perp_node(self, i):
-        return self.perp_map[i]
-
 
 def closed_subquasimodules(qm):
     """The ClosedLattice of qm; requires 0-distributive factors.
@@ -228,7 +226,7 @@ def sum_set(qm, vectors_a, vectors_b):
         return mask_b
     out = 0
     for p in iter_bits(mask_a):
-        out |= qm.image(mask_b, "add", p)
+        out |= qm.image(mask_b, p)
     return out
 
 
@@ -260,20 +258,6 @@ def splitting_subquasimodules(qm, max_nodes=200_000):
                 raise SplittingNotClosed(f"splitting subquasimodule {sub} is not closed")
             out.append(sub)
     return out
-
-
-class FactorizationWitness(FrozenRecord):
-    """Per-factor closed components whose product reconstructs a closed set;
-    `factor_masks` holds one element bitmask per factor."""
-
-    __slots__ = ("qm", "factor_masks")
-
-    def __init__(self, qm, factor_masks):
-        set_field(self, "qm", qm)
-        set_field(self, "factor_masks", factor_masks)
-
-    def factor_labels(self):
-        return tuple(self.qm.lattice.labels(m) for m in self.factor_masks)
 
 
 def product_mask(qm, element_masks):
@@ -308,30 +292,6 @@ def factor_element_mask(factor_qm, carrier_mask):
     for p in iter_bits(carrier_mask):
         out |= 1 << factor_qm.carrier[p][0]
     return out
-
-
-def factorize_closed(qm, sub):
-    """Split a closed subquasimodule into closed components, one per factor.
-
-    The components are the coordinate projections; each must be closed in its
-    one-factor quasimodule and their product must reconstruct the input. A
-    failure of either obligation raises FactorizationFailed and indicates a
-    library bug, since 0-distributive factors guarantee both.
-    """
-    _require_zero_distributive(qm)
-    if not is_closed(qm, sub.members):
-        raise NotClosed(f"{sub} is not closed")
-    masks = []
-    for i in range(len(qm.factors)):
-        em = qm.project(sub.members, i)
-        fqm = qm.factor_qm(i)
-        if not is_closed(fqm, factor_carrier_mask(fqm, em)):
-            raise FactorizationFailed(
-                f"projection to factor {i} is not closed: {qm.lattice.labels(em)}")
-        masks.append(em)
-    if product_mask(qm, masks) != sub.members:
-        raise FactorizationFailed("projections do not reconstruct the closed set")
-    return FactorizationWitness(qm, tuple(masks))
 
 
 class ClosedIso(FrozenRecord):

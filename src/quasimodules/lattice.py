@@ -179,17 +179,9 @@ class Lattice:
         except KeyError:
             raise IndexOutOfRange(f"unknown element label {label!r}") from None
 
-    def label(self, x):
-        if not 0 <= x < self.n:
-            raise IndexOutOfRange(f"element index out of range: {x}")
-        return self.names[x]
-
     def labels(self, mask):
         """Labels of the elements in an element bitmask, in index order."""
         return tuple(self.names[i] for i in iter_bits(mask))
-
-    def element_mask(self, labels):
-        return mask_of(self.index(lab) for lab in labels)
 
     def covers(self):
         """Cover pairs (i, j) with j covering i, in lexicographic order."""
@@ -338,9 +330,6 @@ class Ideal(FrozenRecord):
             if self.members & ~self.lattice.down[q] == 0:
                 return q
         raise FactorNotIdeal("ideal has no maximum element")
-
-    def elements(self):
-        return list(iter_bits(self.members))
 
     def __repr__(self):
         return f"Ideal({{{' '.join(self.lattice.labels(self.members))}}})"

@@ -6,9 +6,10 @@ in row-major order of the factor member lists (each sorted by element index),
 so carrier subsets become int bitmasks over carrier positions.
 
 A CanonicalQM keeps no operation tables: a single sum or scalar multiple is
-computed from the coordinates, and the image of a whole carrier subset under
-q -> p + q or q -> c q is a few masked shifts of its bitmask
-(CanonicalQM.image), at every carrier size.
+computed from the coordinates, the image of a whole carrier subset under
+q -> p + q is a few masked shifts of its bitmask (CanonicalQM.image), and the
+scalar orbit {c p : c in L} of each vector is one row of a per-vector table
+(CanonicalQM.scalar_orbits), at every carrier size.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class CanonicalQM:
         # the ClosedLattice, set by closed_subquasimodules once its checks pass
         self._closed = None
         self._slabs = None
-        # (kind, factor, element) -> [(slab, shift)], shared by the steps
+        # (factor, element) -> [(slab, shift)], shared by the steps
         self._moves = {}
-        # (kind, a) -> tuple of the non-identity move lists, filled by image()
+        # p -> tuple of the non-identity move lists, filled by image()
         self._steps = {}
 
     # -- vectors -----------------------------------------------------------
@@ -156,12 +157,6 @@ class CanonicalQM:
             raise NotInCarrier("mask has bits outside the carrier")
         return m
 
-    def positions(self, mask):
-        return list(iter_bits(mask))
-
-    def vectors(self, mask):
-        return [self.carrier[p] for p in iter_bits(mask)]
-
     def label_sets(self, mask):
         return [self.vector_labels(p) for p in iter_bits(mask)]
 
@@ -199,20 +194,19 @@ class CanonicalQM:
                 return slab
         return 0
 
-    def image(self, mask, kind, a):
-        """Bitmask of {a + q : q in mask} (kind "add", a a carrier position)
-        or of {a * q : q in mask} (kind "smul", a a scalar index).
+    def image(self, mask, p):
+        """Bitmask of {p + q : q in mask}, p a carrier position.
 
         Positions are row-major over the factor member lists, so changing
         coordinate i from e to e' moves the whole slab coord_mask(i, e) by one
         bit offset. The map acts on one coordinate at a time, each step a few
-        masked shifts of the whole bitmask; ideals are closed under join and
-        under meet with any scalar, so no shift leaves the carrier. The steps
-        of each (kind, a) are validated and cached on first use.
+        masked shifts of the whole bitmask; ideals are closed under join, so
+        no shift leaves the carrier. The steps of each p are validated and
+        cached on first use.
         """
-        steps = self._steps.get((kind, a))
+        steps = self._steps.get(p)
         if steps is None:
-            steps = self._image_steps(kind, a)
+            steps = self._image_steps(p)
         for moves in steps:
             out = 0
             for slab, shift in moves:
@@ -223,39 +217,31 @@ class CanonicalQM:
             mask = out
         return mask
 
-    def _image_steps(self, kind, a):
-        """Validate (kind, a) and cache its per-coordinate move lists."""
-        if kind == "add":
-            self._check(a)
-            xs = self.carrier[a]
-        elif kind == "smul":
-            if not 0 <= a < self.lattice.n:
-                raise IndexOutOfRange(f"scalar index out of range: {a}")
-            xs = (a,) * len(self.factors)
-        else:
-            raise ValueError(f"unknown image kind: {kind!r}")
+    def _image_steps(self, p):
+        """Validate p and cache its per-coordinate move lists."""
+        self._check(p)
         steps = []
-        for i, x in enumerate(xs):
-            moves = self._moves.get((kind, i, x))
+        for i, x in enumerate(self.carrier[p]):
+            moves = self._moves.get((i, x))
             if moves is None:
-                moves = self._moves[kind, i, x] = self._slab_moves(kind, i, x)
+                moves = self._moves[i, x] = self._slab_moves(i, x)
             if moves:
                 steps.append(moves)
-        steps = self._steps[kind, a] = tuple(steps)
+        steps = self._steps[p] = tuple(steps)
         return steps
 
-    def _slab_moves(self, kind, i, x):
-        """[(slab, shift)] for e -> join(x, e) or meet(x, e) on coordinate i.
+    def _slab_moves(self, i, x):
+        """[(slab, shift)] for e -> join(x, e) on coordinate i.
 
         Slabs with equal shifts are merged; an identity map gives [].
         """
-        op = self.lattice.join if kind == "add" else self.lattice.meet
+        join = self.lattice.join
         slabs = self.slabs()[i]
         loc = {e: k for k, (e, _) in enumerate(slabs)}
         stride = prod(f.members.bit_count() for f in self.factors[i + 1:])
         by_shift = {}
         for e, slab in slabs:
-            shift = (loc[op[x][e]] - loc[e]) * stride
+            shift = (loc[join[x][e]] - loc[e]) * stride
             by_shift[shift] = by_shift.get(shift, 0) | slab
         if by_shift.keys() == {0}:
             return []

@@ -34,12 +34,6 @@ class SubQM(FrozenRecord):
     def __len__(self):
         return self.members.bit_count()
 
-    def positions(self):
-        return list(iter_bits(self.members))
-
-    def vectors(self):
-        return self.qm.vectors(self.members)
-
     def label_sets(self):
         return self.qm.label_sets(self.members)
 
@@ -67,7 +61,7 @@ def close_mask(qm, mask, base=0):
     while fresh:
         new = 0
         for p in iter_bits(fresh):
-            new |= orbits[p] | image(closed, "add", p)
+            new |= orbits[p] | image(closed, p)
         fresh = new & ~closed
         closed |= fresh
     return closed
@@ -91,7 +85,9 @@ def is_subquasimodule(qm, vectors):
     other set, and any product that fails, goes to the scan, so witnesses do
     not depend on the shortcut. The scan tests each row as one subset image
     (CanonicalQM.image); only a row that leaves the set is scanned pair by
-    pair for its first witness.
+    pair for its first witness. Scalars are tested on the orbit table
+    (CanonicalQM.scalar_orbits); only if some orbit leaves the set are the
+    pairs (c, p) scanned for the first witness.
     """
     mask = qm.mask(vectors)
     if not mask >> qm.zero & 1:
@@ -101,15 +97,18 @@ def is_subquasimodule(qm, vectors):
     outside = ~mask
     for p in iter_bits(mask):
         row = mask >> p << p
-        if qm.image(row, "add", p) & outside:
+        if qm.image(row, p) & outside:
             for q in iter_bits(row):
                 s = qm.add(p, q)
                 if outside >> s & 1:
                     return False, ("add", p, q, s)
+    orbits = qm.scalar_orbits()
+    if not any(orbits[p] & outside for p in iter_bits(mask)):
+        return True, None
     # bottom sends every vector to zero, checked above, and top fixes it
     trivial = (qm.lattice.bottom, qm.lattice.top)
     for c in range(qm.lattice.n):
-        if c not in trivial and qm.image(mask, "smul", c) & outside:
+        if c not in trivial:
             for p in iter_bits(mask):
                 s = qm.smul(c, p)
                 if outside >> s & 1:

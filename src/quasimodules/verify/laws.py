@@ -10,7 +10,9 @@ the closed nodes. Pair clauses scan the pairs of generators; their family
 forms follow by induction on family size. `lem1` is decided on the
 generators. `th2.vi` alone walks a sampled subset pool. Any restriction is
 stamped in the note; beyond two carrier sizes the notes still say "sampled"
-where a clause is exact, as frozen CLI stdout holds them.
+where a clause is exact, as frozen CLI stdout holds them. `check_homomorphism`
+scans the subquasimodule node pairs, and draws seeded families only for the
+join law, which its pair form does not decide.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ _SUBSET_NOTE_BITS = 16
 _SUBSET_NOTE = "sampled: subquasimodules, singletons and 1000 seeded subsets"
 _PAIR_NOTE_BITS = 10
 _PAIR_NOTE = "pairs sampled: subquasimodule pairs plus 1500 seeded pairs"
-# Family and orthogonal-set sizes, product-combo cap.
+# Family and orthogonal-set sizes, seeded families of check_homomorphism,
+# product-combo cap.
 _MAX_FAMILY = 4
+_FAMILY_SAMPLES = 300
 _MAX_ORTHOGONAL_SIZE = 3
 _PRODUCT_COMBO_CAP = 4096
 
@@ -79,14 +83,13 @@ class TheoremReport(Record):
 
 
 class Budgets(FrozenRecord):
-    """The subquasimodule node budget, the seed of the law suites and their
-    two sample sizes: the seeded families of `check_homomorphism` and the
-    seeded subsets of `th2.vi`. Seeded runs are reproducible."""
+    """The subquasimodule node budget, the seed of the law suites and the
+    number of seeded subsets that `th2.vi` samples. Seeded runs are
+    reproducible."""
 
-    __slots__ = ("family_samples", "sampled_closures", "max_nodes", "seed")
+    __slots__ = ("sampled_closures", "max_nodes", "seed")
 
-    def __init__(self, family_samples=300, sampled_closures=300, max_nodes=200_000, seed=0):
-        set_field(self, "family_samples", family_samples)
+    def __init__(self, sampled_closures=300, max_nodes=200_000, seed=0):
         set_field(self, "sampled_closures", sampled_closures)
         set_field(self, "max_nodes", max_nodes)
         set_field(self, "seed", seed)
@@ -694,13 +697,6 @@ def _union(masks):
     return out
 
 
-def _intersect(masks):
-    out = None
-    for m in masks:
-        out = m if out is None else out & m
-    return out if out is not None else 0
-
-
 _CLAUSES = (
     ("axioms", _c_axioms),
     ("rem1.i", _c_rem1_i),
@@ -757,8 +753,9 @@ def check_homomorphism(qm, budgets=None, instance=None):
     If the double companion distributes over intersections of subquasimodule
     families, it is a complete homomorphism from the subquasimodule lattice
     onto the closed one. The intersection hypothesis is tested over all node
-    pairs and seeded larger families; when it fails, the report carries the
-    witness family and claims nothing further.
+    pairs; when it fails, the report carries the witness pair and claims
+    nothing further. The conclusion is tested on all node pairs, on the
+    bounds and on seeded families of joins.
     """
     budgets = budgets or Budgets()
     instance = instance or repr(qm)
@@ -776,34 +773,32 @@ def check_homomorphism(qm, budgets=None, instance=None):
         return TheoremReport("homomorphism", status, instance, witness, note,
                              perf_counter() - start)
 
+    # The nodes are closed under intersection, so the pair hypothesis over
+    # all node pairs gives it for every family by induction on its size:
+    # dd(a & b & c) = dd(a & b) & dd(c) = dd(a) & dd(b) & dd(c). Neither the
+    # hypothesis nor the intersection half of the conclusion needs families.
     for a in nodes:
         for b in nodes:
             if ctx.dd_of(a & b) != ctx.dd_of(a) & ctx.dd_of(b):
                 return finish(HYP, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)),
                               "intersection hypothesis fails; homomorphism not claimed")
-    rng = random.Random(budgets.seed + 7)
-    for fam in _families(rng, nodes, budgets.family_samples):
-        if ctx.dd_of(_intersect(fam)) != _intersect(ctx.dd_of(x) for x in fam):
-            return finish(HYP, ctx.doc(family=[ctx.labels(x) for x in fam]),
-                          "intersection hypothesis fails on a family; "
-                          "homomorphism not claimed")
 
     note = (f"hypothesis holds over {len(nodes)}^2 pairs and "
-            f"{budgets.family_samples} seeded families")
+            f"{_FAMILY_SAMPLES} seeded families")
+    # dd(perp a) and perp(dd a) are both perp^3(a), so the complement law
+    # needs no check.
     for a in nodes:
-        pa = ctx.perp[a]
-        if ctx.dd_of(pa) != ctx.perp[ctx.dd_of(a)]:
-            return finish(FAIL, ctx.doc(node=ctx.labels(a)), note)
         for b in nodes:
             join = ctx.close_of(a | b)
             if ctx.dd_of(join) != ctx.dd_of(ctx.dd_of(a) | ctx.dd_of(b)):
                 return finish(FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note)
     if ctx.dd_of(ctx.zmask) != ctx.zmask or ctx.dd_of(qm.full_mask) != qm.full_mask:
         return finish(FAIL, ctx.doc(), note)
-    for fam in _families(rng, nodes, budgets.family_samples):
+    # The join law for families follows from its pair form only when dd is a
+    # closure operator, which a broken companion map need not give.
+    rng = random.Random(budgets.seed + 7)
+    for fam in _families(rng, nodes, _FAMILY_SAMPLES):
         joined = ctx.dd_of(_union(ctx.dd_of(x) for x in fam))
         if ctx.dd_of(ctx.close_of(_union(fam))) != joined:
-            return finish(FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note)
-        if ctx.dd_of(_intersect(fam)) != _intersect(ctx.dd_of(x) for x in fam):
             return finish(FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note)
     return finish(PASS, None, note)

@@ -1,9 +1,17 @@
 import os
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
 from quasimodules import builtin, canonical, principal_ideal
+from quasimodules.errors import FactorizationFailed, NotClosed
+from quasimodules.galois import (
+    _require_zero_distributive,
+    factor_carrier_mask,
+    is_closed,
+    product_mask,
+)
 
 
 # the bundled quasimodule specs of the benchmark
@@ -26,6 +34,39 @@ def qm_from(lattice_name, factor_gens):
 # 0-distributive; N5^4, the largest carrier (625 vectors)
 KERNEL_INSTANCES = (qm_from("n5", ["*", "a"]), qm_from("m3", ["*", "a"]),
                     qm_from("n5", ["*"] * 4))
+
+
+class FactorizationWitness(NamedTuple):
+    """Per-factor closed components whose product reconstructs a closed set;
+    `factor_masks` holds one element bitmask per factor."""
+
+    qm: object
+    factor_masks: tuple
+
+    def factor_labels(self):
+        return tuple(self.qm.lattice.labels(m) for m in self.factor_masks)
+
+
+def factorize_closed(qm, sub):
+    """The former library factorization, kept as the oracle of Theorem 3:
+    split a closed subquasimodule into its coordinate projections, each of
+    which must be closed in its one-factor quasimodule, and whose product
+    must reconstruct the input. Raises NotClosed on a set that is not
+    closed and FactorizationFailed if either obligation fails."""
+    _require_zero_distributive(qm)
+    if not is_closed(qm, sub.members):
+        raise NotClosed(f"{sub} is not closed")
+    masks = []
+    for i in range(len(qm.factors)):
+        em = qm.project(sub.members, i)
+        fqm = qm.factor_qm(i)
+        if not is_closed(fqm, factor_carrier_mask(fqm, em)):
+            raise FactorizationFailed(
+                f"projection to factor {i} is not closed: {qm.lattice.labels(em)}")
+        masks.append(em)
+    if product_mask(qm, masks) != sub.members:
+        raise FactorizationFailed("projections do not reconstruct the closed set")
+    return FactorizationWitness(qm, tuple(masks))
 
 
 def sparse_mask(draw, qm):

@@ -16,7 +16,6 @@ from quasimodules import (
     closed_lattice_iso,
     closed_subquasimodules,
     double_perp,
-    factorize_closed,
     generate,
     is_closed,
     is_splitting,
@@ -49,7 +48,7 @@ from quasimodules.verify import SearchConfig
 from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 
 import golden
-from conftest import KERNEL_INSTANCES, SPECS, qm_from, sparse_mask
+from conftest import KERNEL_INSTANCES, SPECS, factorize_closed, qm_from, sparse_mask
 
 
 def vecmask(qm, label_tuples):
@@ -112,8 +111,8 @@ def test_closed_lattice_single_factor(n5):
     assert len(closed) == 4
     # involution is antitone and self-inverse
     for i in range(len(closed)):
-        j = closed.perp_node(i)
-        assert closed.perp_node(j) == i
+        j = closed.perp_map[i]
+        assert closed.perp_map[j] == i
 
 
 def test_closed_lattice_ex1(ex1_qm):
@@ -587,7 +586,7 @@ def test_closed_lattice_is_a_subquasimodule_lattice(ex1_qm):
     assert isinstance(closed, SubQMLattice) and closed.kind == "closed"
     assert not hasattr(closed, "base")
     for i, mask in enumerate(closed.nodes):
-        assert closed.nodes[closed.perp_node(i)] == perp(ex1_qm, mask)
+        assert closed.nodes[closed.perp_map[i]] == perp(ex1_qm, mask)
         assert closed.perp_map[closed.perp_map[i]] == i
 
 

@@ -1,5 +1,5 @@
 """Import hygiene: a `quasimod` process loads only what its command runs, and
-the lazy package still exports every public name it always did."""
+the lazy package exports every public name from its submodule."""
 
 import json
 import os
@@ -14,13 +14,13 @@ import quasimodules.verify
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(quasimodules.__file__)))
 
 # The public names of the package and of `quasimodules.verify`, by the
-# submodule that defines them, as the eager `__init__` files imported them.
+# submodule that defines them.
 PACKAGE_NAMES = {
-    "galois": ("ClosedIso", "ClosedLattice", "FactorizationWitness", "TaggedSet",
-               "closed_join", "closed_lattice_iso", "closed_sets",
-               "closed_subquasimodules", "double_perp", "factor_zero_distributivity",
-               "factorize_closed", "is_closed", "is_splitting", "perp", "principal_perp",
-               "product_mask", "splitting_subquasimodules", "sum_set"),
+    "galois": ("ClosedIso", "ClosedLattice", "TaggedSet", "closed_join",
+               "closed_lattice_iso", "closed_sets", "closed_subquasimodules",
+               "double_perp", "factor_zero_distributivity", "is_closed",
+               "is_splitting", "perp", "principal_perp", "product_mask",
+               "splitting_subquasimodules", "sum_set"),
     "lattice": ("Ideal", "Lattice", "build_lattice", "builtin", "builtin_covers",
                 "format_lattice", "is_0_distributive", "is_distributive", "is_ideal",
                 "is_modular", "load_lattice", "parse_lattice", "principal_ideal",

@@ -24,6 +24,8 @@ from quasimodules.bitset import iter_bits
 from quasimodules.errors import Error
 from quasimodules.galois import factor_zero_distributivity
 
+from conftest import factorize_closed
+
 
 @st.composite
 def lattices(draw, max_size=6):
@@ -206,7 +208,7 @@ def test_companion_of_generated_set_with_zero_distributive_factors(qm, data):
 @given(quasimodules_(max_size=5, max_factors=2))
 @settings(max_examples=25, deadline=None)
 def test_closed_factorization_roundtrip(qm):
-    from quasimodules import closed_subquasimodules, factorize_closed
+    from quasimodules import closed_subquasimodules
     from quasimodules.galois import product_mask
 
     assume(all(ok for _, ok, _ in factor_zero_distributivity(qm)))

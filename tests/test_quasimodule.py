@@ -183,21 +183,12 @@ def test_image_matches_per_element(case):
     want = 0
     for q in iter_bits(mask):
         want |= 1 << qm.add(p, q)
-    assert qm.image(mask, "add", p) == want
-    for c in range(qm.lattice.n):
-        want = 0
-        for q in iter_bits(mask):
-            want |= 1 << qm.smul(c, q)
-        assert qm.image(mask, "smul", c) == want
+    assert qm.image(mask, p) == want
 
 
 def test_image_rejects_bad_arguments(ex1_qm):
     with pytest.raises(NotInCarrier):
-        ex1_qm.image(1, "add", ex1_qm.size)
-    with pytest.raises(IndexOutOfRange):
-        ex1_qm.image(1, "smul", ex1_qm.lattice.n)
-    with pytest.raises(ValueError):
-        ex1_qm.image(1, "meet", 0)
+        ex1_qm.image(1, ex1_qm.size)
 
 
 def test_tables_match_coordinatewise_definition():

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from quasimodules.galois import ClosedIso, FactorizationWitness, TaggedSet
+from quasimodules.galois import ClosedIso, TaggedSet
 from quasimodules.lattice import Ideal
 from quasimodules.quasimodule import AxiomCheck, AxiomReport, RawQM
 from quasimodules.subquasi import SubQM
@@ -18,15 +18,14 @@ RECORDS = [
     (Ideal, ("lattice", "members"), {}, True),
     (SubQM, ("qm", "members"), {}, True),
     (TaggedSet, ("qm", "members", "violation"), {}, True),
-    (FactorizationWitness, ("qm", "factor_masks"), {}, True),
     (ClosedIso, ("qm", "factor_closed", "assignments", "bijective"), {}, True),
     (RawQM, ("lattice", "add", "smul", "zero"), {}, True),
     (AxiomCheck, ("name", "holds", "witness"), {"witness": None}, True),
     (AxiomReport, ("checks",), {}, True),
     (TheoremReport, ("clause", "status", "instance", "witness", "note", "seconds"),
      {"witness": None, "note": None, "seconds": 0.0}, False),
-    (Budgets, ("family_samples", "sampled_closures", "max_nodes", "seed"),
-     {"family_samples": 300, "sampled_closures": 300, "max_nodes": 200_000, "seed": 0}, True),
+    (Budgets, ("sampled_closures", "max_nodes", "seed"),
+     {"sampled_closures": 300, "max_nodes": 200_000, "seed": 0}, True),
     (SearchConfig, ("max_lattice_size", "max_factors", "seed", "drop_hypotheses"),
      {"max_lattice_size": 5, "max_factors": 2, "seed": 0, "drop_hypotheses": ()}, True),
 ]

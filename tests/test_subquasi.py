@@ -458,9 +458,9 @@ def test_closed_lattice_decides_axis_companions_on_the_factors(monkeypatch):
     inside = []
     image = CanonicalQM.image
 
-    def counting_image(self, mask, kind, a):
+    def counting_image(self, mask, p):
         calls["image"] += bool(inside)
-        return image(self, mask, kind, a)
+        return image(self, mask, p)
 
     def counting_is_subquasimodule(qm, vectors):
         calls["is_subquasimodule"] += 1
