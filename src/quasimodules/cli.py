@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from .bitset import iter_bits
 from .errors import EnumerationBudgetExceeded, Error, NotZeroDistributive
 from .lattice import (
     is_0_distributive,
@@ -148,8 +149,13 @@ def _vector_str(labels):
     return "(" + ",".join(labels) + ")"
 
 
-def _set_str(qm, mask):
-    return "{" + " ".join(_vector_str(v) for v in qm.label_sets(mask)) + "}"
+def _position_strs(qm):
+    """The `(a,b)` string of every carrier position, built once per command."""
+    return [_vector_str(qm.vector_labels(p)) for p in range(qm.size)]
+
+
+def _set_str(strs, mask):
+    return "{" + " ".join([strs[p] for p in iter_bits(mask)]) + "}"
 
 
 def _cmd_qm(args):
@@ -204,6 +210,7 @@ def _cmd_qm(args):
         return 0
 
     if action == "perp-table":
+        strs = _position_strs(qm)
         rows = []
         for mask in subs.nodes:
             companion = perp(qm, mask)
@@ -212,9 +219,9 @@ def _cmd_qm(args):
                 continue
             rows.append((subs.name_of_mask(mask),
                          subs.name_of_mask(companion) if companion in subs.index
-                         else _set_str(qm, companion),
+                         else _set_str(strs, companion),
                          subs.name_of_mask(double) if double in subs.index
-                         else _set_str(qm, double)))
+                         else _set_str(strs, double)))
         if args.format == "structured":
             for name, p, pp in rows:
                 print(json.dumps({"P": name, "perp": p, "perpperp": pp},
@@ -228,14 +235,15 @@ def _cmd_qm(args):
 
 def _print_family(qm, names, masks, fmt):
     if fmt == "structured":
+        members = [list(qm.vector_labels(p)) for p in range(qm.size)]
         for name, mask in zip(names, masks):
             print(json.dumps(
-                {"name": name,
-                 "members": [list(v) for v in qm.label_sets(mask)]},
+                {"name": name, "members": [members[p] for p in iter_bits(mask)]},
                 sort_keys=True))
     else:
+        strs = _position_strs(qm)
         for name, mask in zip(names, masks):
-            print(f"{name}\t{_set_str(qm, mask)}")
+            print(f"{name}\t{_set_str(strs, mask)}")
 
 
 def _print_perp_table(rows, chunk=10):

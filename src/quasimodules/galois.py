@@ -12,7 +12,10 @@ intersection, over the coordinates i, of the companions of its axis vectors
 (p_i at coordinate i, bottom elsewhere). The closed sets are therefore the
 intersection closure of at most sum |F_i| axis companions, with or without
 0-distributivity, and that is how closed_sets builds them. The closed lattice
-is built once per quasimodule and kept on it, as the companions are.
+is built once per quasimodule and kept on it, as the companions are; each
+node's companion is put together from the companions of its meets with those
+axis companions, which are smaller nodes, so each vector's companion is read
+about once. A sum A + B is taken on generators of the smaller side under +.
 """
 
 from __future__ import annotations
@@ -165,18 +168,45 @@ class ClosedLattice(SubQMLattice):
 
     Join is the double companion of the union. Raises CompanionNotClosed if
     the companion of some node is not a node.
+
+    Each companion is put together from those of smaller nodes, in node
+    order. The meets of node N with the axis companions (the generators of
+    closed_sets) are nodes, and the proper ones come before N. Let rest be
+    the members of N outside the meets already done. N is the union of those
+    meets and rest, so the meet of the singleton companions over N is the
+    AND of the meets over the parts. perp(X) is that meet whenever the meet
+    holds a vector other than zero, since perp stops only at {zero}. So if
+    the AND of the parts' companions (stored, and perp(rest)) holds such a
+    vector, each part's companion does too and is exact (by induction over
+    the node order), and the AND is perp(N). Otherwise perp(N) is called,
+    which stops at {zero} exactly as perp does, under any companion table.
+    When the companions are those of an orthogonality relation, only the
+    top node gets there, and each vector lies in one rest only.
     """
 
     def __init__(self, qm, node_masks):
         super().__init__(qm, node_masks, join_closure=lambda m: perp(qm, perp(qm, m)),
                          kind="closed")
+        generators = tuple(_axis_companions(qm))
+        nonzero = qm.full_mask ^ 1 << qm.zero
+        done = {}  # node mask -> its companion, for the nodes before this one
         perp_map = []
         for mask in self.nodes:
-            pm = perp(qm, mask)
-            if pm not in self.index:
+            out, rest = qm.full_mask, mask
+            for g in generators:
+                companion = done.get(mask & g)
+                if companion is not None:
+                    out &= companion
+                    rest &= ~g
+            out &= perp(qm, rest)
+            if not out & nonzero:
+                out = perp(qm, mask)
+            i = self.index.get(out)
+            if i is None:
                 raise CompanionNotClosed(
                     f"companion of closed set {qm.label_sets(mask)} is not closed")
-            perp_map.append(self.index[pm])
+            done[mask] = out
+            perp_map.append(i)
         self.perp_map = tuple(perp_map)
 
 
@@ -213,17 +243,31 @@ def closed_join(qm, sub_a, sub_b):
 def sum_set(qm, vectors_a, vectors_b):
     """Bitmask of all pairwise sums x + y with x from A and y from B.
 
-    The OR, over the members p of the smaller set, of the image of the other
-    set under q -> p + q (CanonicalQM.image); addition commutes. When the
-    smaller set is {zero} the sum is the other set, since zero is the
-    identity of addition, and no image is taken.
+    Addition commutes, so A is taken to be the smaller set. A walk over A in
+    position order keeps p as a generator when p is not yet in `joins`, the
+    sums of zero and the generators so far, and adds p to them; it stops
+    once `joins` leaves A. If `joins` ends equal to A, then A is the sums of
+    its generators, and as x + (g + h) = (x + g) + h, g + g = g and zero is
+    the identity, B + A is B with each generator added in turn: one image
+    (CanonicalQM.image) per generator. Otherwise the sum is the OR, over the
+    members p of A, of the image of B under q -> p + q.
     """
     mask_a = qm.mask(vectors_a)
     mask_b = qm.mask(vectors_b)
     if mask_a.bit_count() > mask_b.bit_count():
         mask_a, mask_b = mask_b, mask_a
-    if mask_a == 1 << qm.zero:
-        return mask_b
+    joins, generators = 1 << qm.zero, []
+    todo = mask_a & ~joins
+    while todo and not joins & ~mask_a:
+        p = (todo & -todo).bit_length() - 1
+        generators.append(p)
+        joins |= qm.image(joins, p)
+        todo = mask_a & ~joins
+    if joins == mask_a:
+        out = mask_b
+        for g in generators:
+            out |= qm.image(out, g)
+        return out
     out = 0
     for p in iter_bits(mask_a):
         out |= qm.image(mask_b, p)
@@ -235,7 +279,9 @@ def is_splitting(qm, sub):
 
     The intersection of sub with its companion is always exactly {zero};
     anything else raises CompanionOverlap. Once the closed lattice is built,
-    the companion of one of its nodes is read from its involution.
+    the companion of one of its nodes is read from its involution. As
+    |A + B| <= |A| |B|, a pair whose sizes multiply to less than |Q| does not
+    split, and its sum is not taken.
     """
     closed = qm._closed
     i = None if closed is None else closed.index.get(sub.members)
@@ -244,6 +290,8 @@ def is_splitting(qm, sub):
         raise CompanionOverlap(
             f"{sub} meets its companion in {qm.label_sets(sub.members & companion)}, "
             f"not in the zero vector alone")
+    if len(sub) * companion.bit_count() < qm.size:
+        return False
     return sum_set(qm, sub.members, companion) == qm.full_mask
 
 

@@ -476,7 +476,13 @@ def parse_qm(text, base_dir=None, source="<qm>"):
             ref = line[len("lattice:"):].strip()
             if not ref:
                 raise ParseError("empty lattice reference", source, lineno)
-            lattice = load_lattice(ref, base_dir)
+            try:
+                lattice = load_lattice(ref, base_dir)
+            except (OSError, ValueError) as exc:
+                # a file that cannot be opened, or a path open() refuses
+                reason = getattr(exc, "strerror", None) or exc
+                raise ParseError(f"cannot read lattice {ref!r}: {reason}",
+                                 source, lineno) from None
             continue
         if line.startswith("factor:"):
             if lattice is None:

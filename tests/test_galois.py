@@ -30,6 +30,7 @@ from quasimodules.bitset import iter_bits, mask_of, superset_masks
 from quasimodules.errors import (
     CompanionNotClosed,
     CompanionOverlap,
+    Error,
     FactorizationFailed,
     IndexOutOfRange,
     NotClosed,
@@ -38,6 +39,7 @@ from quasimodules.errors import (
     SplittingNotClosed,
 )
 from quasimodules.galois import (
+    ClosedLattice,
     closed_sets,
     factor_zero_distributivity,
     principal_perp,
@@ -48,7 +50,15 @@ from quasimodules.verify import SearchConfig
 from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 
 import golden
-from conftest import KERNEL_INSTANCES, SPECS, factorize_closed, qm_from, sparse_mask
+from conftest import (
+    KERNEL_INSTANCES,
+    SPECS,
+    SUBSET_INSTANCES,
+    factorize_closed,
+    poisoned,
+    qm_from,
+    sparse_mask,
+)
 
 
 def vecmask(qm, label_tuples):
@@ -408,9 +418,19 @@ def test_closed_count_is_the_product_of_factor_counts(qm):
 
 # -- slab-shift paths against per-element definitions ------------------------------
 
+def join_closure(qm, mask):
+    """The sums of zero and any members of mask: the least set holding zero
+    and mask that is closed under +."""
+    out = 1 << qm.zero
+    for p in iter_bits(mask):
+        out |= qm.image(out, p)
+    return out
+
+
 @st.composite
 def qm_and_two_masks(draw):
-    """Two sparse masks; either may be {zero}, the identity of addition."""
+    """Two sparse masks; either may be {zero}, the identity of addition, or
+    closed under +, so that both paths of sum_set are drawn."""
     qm = draw(st.sampled_from(KERNEL_INSTANCES))
     a, b = sparse_mask(draw, qm), sparse_mask(draw, qm)
     zero_side = draw(st.sampled_from((None, 0, 1)))
@@ -418,18 +438,33 @@ def qm_and_two_masks(draw):
         a = 1 << qm.zero
     elif zero_side == 1:
         b = 1 << qm.zero
+    closed_side = draw(st.sampled_from((None, 0, 1)))
+    generators = draw(st.lists(st.integers(0, qm.size - 1), min_size=1, max_size=3))
+    if closed_side == 0:
+        a = join_closure(qm, mask_of(generators))
+    elif closed_side == 1:
+        b = join_closure(qm, mask_of(generators))
     return qm, a, b
 
 
-@given(qm_and_two_masks())
-@settings(max_examples=40, deadline=None)
-def test_sum_set_matches_pairwise(case):
-    qm, a, b = case
-    want = 0
-    for p in iter_bits(a):
-        for q in iter_bits(b):
-            want |= 1 << qm.add(p, q)
-    assert sum_set(qm, a, b) == want
+def test_sum_set_matches_pairwise():
+    # the smaller side is closed under + (generator fold) or not (member loop)
+    paths = set()
+
+    @given(qm_and_two_masks())
+    @settings(max_examples=60, deadline=None)
+    def check(case):
+        qm, a, b = case
+        want = 0
+        for p in iter_bits(a):
+            for q in iter_bits(b):
+                want |= 1 << qm.add(p, q)
+        assert sum_set(qm, a, b) == want
+        smaller = b if a.bit_count() > b.bit_count() else a
+        paths.add("fold" if join_closure(qm, smaller) == smaller else "loop")
+
+    check()
+    assert paths == {"fold", "loop"}
 
 
 @pytest.mark.parametrize("qm", KERNEL_INSTANCES, ids=("ex1", "m3-x-a", "n5-pow4"))
@@ -588,6 +623,98 @@ def test_closed_lattice_is_a_subquasimodule_lattice(ex1_qm):
     for i, mask in enumerate(closed.nodes):
         assert closed.nodes[closed.perp_map[i]] == perp(ex1_qm, mask)
         assert closed.perp_map[closed.perp_map[i]] == i
+
+
+# -- companions from smaller nodes, splitting on generators ---------------------
+
+def old_perp_map(qm, node_masks):
+    """The former ClosedLattice construction, kept as the oracle: one perp
+    over the members of each node."""
+    nodes = SubQMLattice(qm, node_masks, join_closure=None, kind="closed")
+    out = []
+    for mask in nodes.nodes:
+        pm = perp(qm, mask)
+        if pm not in nodes.index:
+            raise CompanionNotClosed(
+                f"companion of closed set {qm.label_sets(mask)} is not closed")
+        out.append(nodes.index[pm])
+    return tuple(out)
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+def closed_lattice_contexts():
+    """The poisoned SUBSET_INSTANCES, every lattice up to 5 elements with
+    each factor tuple the search tries, and the bundled specs."""
+    for name, spec in SUBSET_INSTANCES.items():
+        for poison, qm in poisoned(*spec):
+            yield f"{name} {poison}", qm
+    cfg = SearchConfig(max_lattice_size=5)
+    for n in range(1, 6):
+        for lat in _exhaustive_lattices(n):
+            for factors in _factor_variants(lat, cfg):
+                yield f"{lat.up} {factors}", canonical(lat, factors)
+    for spec in sorted(os.listdir(SPECS)):
+        yield spec, read_qm_file(os.path.join(SPECS, spec))
+
+
+def test_perp_map_matches_the_per_node_walk():
+    outcomes, cases = set(), 0
+    for label, qm in closed_lattice_contexts():
+        nodes = closed_sets(qm)
+        want = result_or_error(old_perp_map, qm, nodes)
+        got = result_or_error(lambda: ClosedLattice(qm, nodes).perp_map)
+        assert got == want, label
+        outcomes.add(got[0] if isinstance(got[0], type) else "map")
+        cases += 1
+    assert cases == 284
+    assert {"map", CompanionNotClosed} <= outcomes
+
+
+def old_is_splitting(qm, mask):
+    """The oracle: the companion by perp, then the OR of the companion's
+    image under every member, with no size cut."""
+    companion = perp(qm, mask)
+    if mask & companion != 1 << qm.zero:
+        raise CompanionOverlap(mask)
+    out = 0
+    for p in iter_bits(mask):
+        out |= qm.image(companion, p)
+    return out == qm.full_mask
+
+
+SMALL_SPECS = [spec for spec in sorted(os.listdir(SPECS))
+               if read_qm_file(os.path.join(SPECS, spec)).size <= 64]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_is_splitting_matches_the_uncut_member_sum(spec):
+    # every subquasimodule, closed or not; bool3.sq has splitting nodes whose
+    # sizes multiply to exactly |Q|
+    qm = read_qm_file(os.path.join(SPECS, spec))
+    closed_subquasimodules(qm)
+    splits = 0
+    for mask in all_subquasimodules(qm).nodes:
+        want = result_or_error(old_is_splitting, qm, mask)
+        got = result_or_error(lambda: is_splitting(qm, SubQM(qm, mask)))
+        assert got == want, mask
+        splits += got is True
+    assert splits > 0
+
+
+@pytest.mark.parametrize("spec", ["bool3.cube", "bool3.sq-x-ab", "n5.pow4"])
+def test_closed_lattice_reads_each_companion_about_once(spec, monkeypatch):
+    qm = read_qm_file(os.path.join(SPECS, spec + ".qm"))
+    calls = []
+    monkeypatch.setattr(galois, "principal_perp",
+                        lambda qm_, p: calls.append(p) or principal_perp(qm_, p))
+    closed_subquasimodules(qm)
+    assert len(calls) <= 2 * qm.size
 
 
 # -- library-bug errors ----------------------------------------------------------

@@ -26,7 +26,7 @@ from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConf
 from quasimodules.verify import laws, search
 from quasimodules.verify.instances import is_boolean_shape
 
-from conftest import factorize_closed, qm_from
+from conftest import SUBSET_INSTANCES, factorize_closed, poisoned, qm_from
 
 
 def by_clause(reports):
@@ -757,33 +757,6 @@ def violates(clause, qm, tab, closed, witness):
         n = w["upper"]
         return n in closed and (a | b) & ~n == 0 and join & ~n != 0
     return join not in closed or (a | b) & ~join != 0
-
-
-# ex1, M3 x [0,a] (not 0-distributive), chain_3^2, boolean_2 x [0,a], fig5,
-# chain_4^2 (16 vectors, the largest walked size) and N5 x [0,b]
-SUBSET_INSTANCES = {"ex1": ("n5", ["*", "a"]), "m3xa": ("m3", ["*", "a"]),
-                    "chain3sq": ("chain_3", ["*", "*"]),
-                    "bool2xa": ("boolean_2", ["*", "a"]), "fig5": ("fig5", ["*"]),
-                    "chain4sq": ("chain_4", ["*", "*"]), "n5xb": ("n5", ["*", "b"])}
-
-
-def poisoned(lattice, gens):
-    """The instance unpoisoned, then with the zero bit of each singleton
-    companion flipped, then with 2m seeded other bits flipped, each before the
-    context is built: the companion map stays a meet of its singleton
-    entries, but the relation may be broken. Yields (poison, qm)."""
-    plain = qm_from(lattice, gens)
-    size, zero = plain.size, plain.zero
-    others = [q for q in range(size) if q != zero]
-    rng = random.Random(size)
-    poisons = [None, *((p, zero) for p in range(size)),
-               *((rng.randrange(size), rng.choice(others)) for _ in range(2 * size))]
-    for poison in poisons:
-        qm = qm_from(lattice, gens)
-        if poison is not None:
-            p, q = poison
-            qm._pperp[p] = principal_perp(qm, p) ^ 1 << q
-        yield poison, qm
 
 
 @pytest.mark.parametrize("name", list(SUBSET_INSTANCES))
