@@ -38,18 +38,24 @@ _FLIP = None
 def sort_masks(masks, width):
     """masks sorted by bit_key; every mask must fit in width bits.
 
-    Of two masks of equal size, A sorts first iff the lowest bit of A ^ B is
-    in A. The key after the size is the little-endian bytes of the mask,
-    each bit-reversed and complemented: the first differing byte holds that
-    bit, reversal makes it the highest differing bit of the byte, and the
+    The masks are bucketed by size and each bucket is sorted on its own. Of
+    two masks of equal size, A sorts first iff the lowest bit of A ^ B is in
+    A. The key within a bucket is the little-endian bytes of the mask, each
+    bit-reversed and complemented: the first differing byte holds that bit,
+    reversal makes it the highest differing bit of the byte, and the
     complement makes the byte that holds it the smaller one.
     """
     global _FLIP
     if _FLIP is None:
         _FLIP = bytes([255 - int(f"{b:08b}"[::-1], 2) for b in range(256)])
     flip, size = _FLIP, (width + 7) // 8
-    return sorted(masks, key=lambda m: (m.bit_count(),
-                                        m.to_bytes(size, "little").translate(flip)))
+    buckets = {}
+    for m in masks:
+        buckets.setdefault(m.bit_count(), []).append(m)
+    out = []
+    for k in sorted(buckets):
+        out += sorted(buckets[k], key=lambda m: m.to_bytes(size, "little").translate(flip))
+    return out
 
 
 def superset_masks(masks):

@@ -39,33 +39,67 @@ def principal_perp(qm, p):
     """Companion bitmask of a single vector, cached on the quasimodule.
 
     A vector is orthogonal to p iff each coordinate meets p's coordinate in
-    bottom, so the companion is the AND over coordinates i of the OR of the
-    slabs coord_mask(i, e) with e ^ p_i = bottom.
+    bottom, so the companion is the AND over coordinates i of the layer of
+    (i, p_i): the OR of the slabs coord_mask(i, e) with e ^ p_i = bottom.
+    The layers are built once per quasimodule, so each companion is one AND
+    per factor.
     """
     cached = qm._pperp.get(p)
     if cached is not None:
         return cached
-    meet = qm.lattice.meet
-    b = qm.lattice.bottom
+    layers = qm._perp_layers
+    if layers is None:
+        layers = qm._perp_layers = _perp_layers(qm)
     out = qm.full_mask
-    for x, slabs in zip(qm.carrier[p], qm.slabs()):
-        layer = 0
-        for e, slab in slabs:
-            if meet[x][e] == b:
-                layer |= slab
-        out &= layer
+    for x, row in zip(qm.carrier[p], layers):
+        out &= row[x]
     qm._pperp[p] = out
     return out
 
 
+def _perp_layers(qm):
+    """Per factor i, the list over elements x of the carrier bitmask of the
+    vectors whose i-th coordinate meets x in bottom (0 off the factor)."""
+    meet, b = qm.lattice.meet, qm.lattice.bottom
+    out = []
+    for factor, slabs in zip(qm.factors, qm.slabs()):
+        row = [0] * qm.lattice.n
+        for x in iter_bits(factor.members):
+            for e, slab in slabs:
+                if meet[x][e] == b:
+                    row[x] |= slab
+        out.append(row)
+    return tuple(out)
+
+
 def perp(qm, vectors):
-    """Companion bitmask of a carrier subset; the empty subset gives everything."""
+    """Companion bitmask of a carrier subset; the empty subset gives everything.
+
+    The meet of the stored singleton companions (qm._pperp) over the members,
+    in increasing position order, stopping once it is {zero}. While every
+    stored companion holds zero, as computed ones do, a meet that reached
+    {zero} stays there, so the result does not depend on the order: the walk
+    then runs from the highest position down, where vectors have the
+    largest coordinates and the fewest orthogonal vectors, and usually stops
+    after a step or two. Once some stored companion lacks zero (a write from
+    outside, tracked by CompanionTable.zeroless), where the walk stops
+    changes the result, and it takes the increasing order.
+    """
     mask = qm.mask(vectors)
     out = qm.full_mask
-    for p in iter_bits(mask):
+    zero_only = 1 << qm.zero
+    if qm._pperp.zeroless:
+        for p in iter_bits(mask):
+            out &= principal_perp(qm, p)
+            if out == zero_only:
+                break
+        return out
+    while mask:
+        p = mask.bit_length() - 1
         out &= principal_perp(qm, p)
-        if out == 1 << qm.zero:
+        if out == zero_only:
             break
+        mask ^= 1 << p
     return out
 
 
@@ -318,11 +352,16 @@ def product_mask(qm, element_masks):
         raise ValueError("need one element mask per factor")
     out = qm.full_mask
     for em, slabs in zip(element_masks, qm.slabs()):
-        layer = 0
-        for e, slab in slabs:
-            if em >> e & 1:
-                layer |= slab
-        out &= layer
+        out &= _slab_union(slabs, em)
+    return out
+
+
+def _slab_union(slabs, element_mask):
+    """OR of one factor's slab rows over the elements in element_mask."""
+    out = 0
+    for e, slab in slabs:
+        if element_mask >> e & 1:
+            out |= slab
     return out
 
 
@@ -367,7 +406,11 @@ class ClosedIso(FrozenRecord):
 
 
 def closed_lattice_iso(qm):
-    """Build and verify the product isomorphism onto the closed lattice."""
+    """Build and verify the product isomorphism onto the closed lattice.
+
+    Each image is product_mask of its choice, taken as the AND of one slab
+    union per factor closed set, each union built once.
+    """
     closed = closed_subquasimodules(qm)
     factor_closed = []
     for i in range(len(qm.factors)):
@@ -375,10 +418,15 @@ def closed_lattice_iso(qm):
         fcl = closed_subquasimodules(fqm)
         factor_closed.append(tuple(factor_element_mask(fqm, m) for m in fcl.nodes))
 
+    unions = [[_slab_union(slabs, em) for em in ems]
+              for ems, slabs in zip(factor_closed, qm.slabs())]
+    full = qm.full_mask
     assignments = []
     images = set()
-    for choice in iproduct(*factor_closed):
-        image = product_mask(qm, choice)
+    for choice, parts in zip(iproduct(*factor_closed), iproduct(*unions)):
+        image = full
+        for part in parts:
+            image &= part
         assignments.append((choice, image))
         images.add(image)
 

@@ -31,6 +31,46 @@ from .errors import (
 from .lattice import FrozenRecord, Ideal, is_ideal, load_lattice, read_text, set_field
 
 
+class CompanionTable(dict):
+    """Carrier position -> singleton companion bitmask: the cache behind
+    galois.principal_perp, which galois.perp meets over a subset.
+
+    A computed companion always holds the zero vector, as zero is orthogonal
+    to every vector. `zeroless` holds the positions whose stored companion
+    lacks the zero bit, so only writes from outside the library put any
+    there; galois.perp reads it to pick its walk order. Every write goes
+    through __setitem__. Removing an entry keeps its position in `zeroless`,
+    which can only keep perp on its ascending walk.
+    """
+
+    __slots__ = ("zero", "zeroless")
+
+    def __init__(self, zero):
+        super().__init__()
+        self.zero = zero
+        self.zeroless = set()
+
+    def __setitem__(self, p, companion):
+        if companion >> self.zero & 1:
+            self.zeroless.discard(p)
+        else:
+            self.zeroless.add(p)
+        super().__setitem__(p, companion)
+
+    def update(self, *args, **kwargs):
+        for p, companion in dict(*args, **kwargs).items():
+            self[p] = companion
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def setdefault(self, p, companion=None):
+        if p not in self:
+            self[p] = companion
+        return self[p]
+
+
 class CanonicalQM:
     """A canonical quasimodule over a finite bounded lattice.
 
@@ -40,8 +80,8 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_pperp", "_orbits", "_factor_qms", "_closed", "_slabs", "_moves",
-                 "_steps")
+                 "_pperp", "_perp_layers", "_orbits", "_factor_qms", "_closed", "_slabs",
+                 "_moves", "_steps")
 
     def __init__(self, lattice, factors, carrier, index):
         self.lattice = lattice
@@ -50,7 +90,10 @@ class CanonicalQM:
         self.index = index
         self.size = len(carrier)
         self.zero = index[tuple([lattice.bottom] * len(factors))]
-        self._pperp = {}
+        self._pperp = CompanionTable(self.zero)
+        # per factor i, element x -> the vectors whose i-th coordinate meets
+        # x in bottom; built by galois.principal_perp
+        self._perp_layers = None
         # per position p, the bitmask {c p : c in L}, built by scalar_orbits
         self._orbits = None
         self._factor_qms = {}

@@ -48,22 +48,31 @@ def close_mask(qm, mask, base=0):
     so only the vectors of mask outside base, and what they generate, are
     visited: close_mask(qm, m, base=b) == close_mask(qm, m | b).
 
-    Semi-naive: each round adds, for each fresh vector p, its scalar orbit
-    {c p : c in L} (one lookup in CanonicalQM.scalar_orbits) and the sums
-    of p with the whole closed set (one subset image, CanonicalQM.image);
-    what is new becomes the next fresh set. Meet does not distribute over
-    join (N5), so every new sum needs its own orbit.
+    By generators: the working set S stays closed under + at every step. It
+    starts as base with zero, and a generator g outside S turns it into
+    S | (S + g), one subset image (CanonicalQM.image). That set is closed
+    under + again: s1 + (s2 + g) = (s1 + s2) + g, (s1 + g) + (s2 + g) =
+    (s1 + s2) + g as g + g = g, and g itself is zero + g. The generators are
+    the vectors of mask and the scalar multiples of every vector new to S
+    (one lookup in CanonicalQM.scalar_orbits), each taken, lowest position
+    first, only if it is still outside S. Meet does not distribute over join
+    (N5), so every new vector needs its own orbit, not just each generator.
+    When no generator is left, S is closed under + and every scalar action,
+    and it holds only sums of multiples of mask and base.
     """
-    closed = base | mask | 1 << qm.zero
-    fresh = closed & ~base
+    closed = base | 1 << qm.zero
+    todo = mask & ~closed
     orbits = qm.scalar_orbits()
     image = qm.image
-    while fresh:
-        new = 0
-        for p in iter_bits(fresh):
-            new |= orbits[p] | image(closed, p)
-        fresh = new & ~closed
-        closed |= fresh
+    while todo:
+        grown = closed | image(closed, (todo & -todo).bit_length() - 1)
+        new = grown & ~closed
+        closed = grown
+        while new:
+            low = new & -new
+            todo |= orbits[low.bit_length() - 1]
+            new ^= low
+        todo &= ~closed
     return closed
 
 
@@ -227,9 +236,10 @@ def all_subquasimodules(qm, max_nodes=200_000):
     Subquasimodules are the fixed points of close_mask. Starting from the
     closure of the empty set with depth index 0, each closed set B with
     depth index y is extended by every position p >= y outside B to
-    C = close(B + {p}). C is kept only if it adds no position below p (the
-    canonicity test), and is then extended from depth p + 1. Every closed set
-    is produced exactly once (Kuznetsov 1993).
+    C = close(B + {p}); those positions are scanned as the set bits of
+    full & ~B with the bits below y cleared. C is kept only if it adds no
+    position below p (the canonicity test), and is then extended from depth
+    p + 1. Every closed set is produced exactly once (Kuznetsov 1993).
 
     FCbO (Outrata & Vychodil, Information Sciences 185, 2012) skips attempts
     that must fail: each node carries, per position p, the closure of the
@@ -242,19 +252,22 @@ def all_subquasimodules(qm, max_nodes=200_000):
     nodes.
     """
     bottom = close_mask(qm, 0)
+    full = qm.full_mask
     nodes = [bottom]
     stack = [(bottom, 0, [0] * qm.size)]
     while stack:
         b, y, inherited = stack.pop()
         failed = list(inherited)
-        children = []
-        for p in range(y, qm.size):
-            if b >> p & 1:
+        not_b = ~b
+        candidates = full & ~b >> y << y
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            p = low.bit_length() - 1
+            below = low - 1
+            if failed[p] & below & not_b:
                 continue
-            below = (1 << p) - 1
-            if failed[p] & below & ~b:
-                continue
-            c = close_mask(qm, 1 << p, base=b)
+            c = close_mask(qm, low, base=b)
             if (c ^ b) & below:
                 failed[p] = c
                 continue
@@ -262,8 +275,7 @@ def all_subquasimodules(qm, max_nodes=200_000):
             if len(nodes) > max_nodes:
                 raise EnumerationBudgetExceeded(
                     f"subquasimodule lattice exceeds {max_nodes} nodes")
-            children.append((c, p + 1))
-        stack.extend((c, z, failed) for c, z in children)
+            stack.append((c, p + 1, failed))
     return SubQMLattice(qm, nodes, join_closure=lambda m: close_mask(qm, m), kind="all")
 
 

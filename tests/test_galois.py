@@ -717,6 +717,93 @@ def test_closed_lattice_reads_each_companion_about_once(spec, monkeypatch):
     assert len(calls) <= 2 * qm.size
 
 
+# -- perp from the top down, and the ascending walk it keeps ---------------------
+
+def ascending_perp(qm, mask):
+    """The former perp, kept as the oracle: the meet of the stored singleton
+    companions in increasing position order, stopping at {zero}."""
+    out = qm.full_mask
+    for p in iter_bits(mask):
+        out &= principal_perp(qm, p)
+        if out == 1 << qm.zero:
+            break
+    return out
+
+
+def descending_perp(qm, mask):
+    """The same meet from the highest position down, with no guard."""
+    out = qm.full_mask
+    for p in reversed(list(iter_bits(mask))):
+        out &= principal_perp(qm, p)
+        if out == 1 << qm.zero:
+            break
+    return out
+
+
+def perp_probes(qm):
+    """Every singleton and pair, the full carrier and 256 seeded subsets."""
+    rng = random.Random(qm.size)
+    yield qm.full_mask
+    for p in range(qm.size):
+        for q in range(p, qm.size):
+            yield 1 << p | 1 << q
+    for _ in range(256):
+        yield rng.getrandbits(qm.size)
+
+
+def test_perp_matches_the_ascending_walk_on_the_poisoned_contexts():
+    contexts = order_matters = 0
+    for name, spec in SUBSET_INSTANCES.items():
+        for poison, qm in poisoned(*spec):
+            for mask in perp_probes(qm):
+                want = ascending_perp(qm, mask)
+                assert perp(qm, mask) == want, (name, poison, mask)
+                order_matters += descending_perp(qm, mask) != want
+            contexts += 1
+    assert contexts == 214
+    # a zero-less companion makes the stopping point matter
+    assert order_matters
+
+
+def test_perp_sees_a_poison_written_after_the_first_walk():
+    order_matters = 0
+    for p in range(10):
+        qm = qm_from("n5", ["*", "a"])
+        for mask in range(1 << qm.size):
+            assert perp(qm, mask) == ascending_perp(qm, mask)
+        assert not qm._pperp.zeroless
+        qm._pperp[p] = principal_perp(qm, p) ^ 1 << qm.zero
+        assert qm._pperp.zeroless == {p}
+        for mask in range(1 << qm.size):
+            want = ascending_perp(qm, mask)
+            assert perp(qm, mask) == want, (p, mask)
+            order_matters += descending_perp(qm, mask) != want
+    assert order_matters
+
+
+def test_companion_table_tracks_every_write(ex1_qm):
+    table = ex1_qm._pperp
+    zero = 1 << ex1_qm.zero
+    table[1] = 0
+    table.update({2: 6})
+    table |= {3: 0}
+    table.setdefault(4, 0)
+    table.setdefault(1, zero)
+    assert table.zeroless == {1, 2, 3, 4}
+    table[1] = zero
+    table.update([(2, zero | 2)])
+    assert table.zeroless == {3, 4}
+
+
+def test_iso_images_are_the_product_masks():
+    for spec in ("ex1.qm", "bool3.sq-x-ab.qm", "n5.pow4.qm"):
+        qm = read_qm_file(os.path.join(SPECS, spec))
+        iso = closed_lattice_iso(qm)
+        assert iso.is_isomorphism
+        for choice, image in iso.assignments:
+            assert image == product_mask(qm, choice), (spec, choice)
+
+
 # -- library-bug errors ----------------------------------------------------------
 
 def test_companion_not_closed_raises(ex1_qm, monkeypatch):
