@@ -13,9 +13,24 @@ intersection, over the coordinates i, of the companions of its axis vectors
 intersection closure of at most sum |F_i| axis companions, with or without
 0-distributivity, and that is how closed_sets builds them. The closed lattice
 is built once per quasimodule and kept on it, as the companions are; each
-node's companion is put together from the companions of its meets with those
-axis companions, which are smaller nodes, so each vector's companion is read
-about once. A sum A + B is taken on generators of the smaller side under +.
+node's companion is put together from the companions of its meets with the
+companions of the join-irreducible vectors, which are smaller nodes, so each
+vector's companion is read about once. A sum A + B is taken on generators of
+the smaller side under +.
+
+The join-irreducible vectors J (join_irreducibles) are the nonzero vectors
+that are not the sum of the vectors strictly below them. Every vector is the
+sum of the vectors of J below it (Davey & Priestley, Introduction to Lattices
+and Order, 2002), which gives two shortcuts:
+- Splitting. If j in J is x + y, then x, y <= j, so x = j or y = j. A pair
+  P, P* that misses a vector of J therefore does not sum to Q, whatever the
+  sets are. When P and P* hold all of J and are both closed under + with
+  zero, as closed-lattice nodes are, each q is the sum of the vectors of J
+  below it in P plus those in P*, so P + P* = Q with no sum taken.
+- The involution. With 0-distributive factors, x ^ e = 0 iff x ^ j = 0 for
+  every join-irreducible j <= e, as e is their join. So the companion of
+  the axis vector of e is the meet of those of the join-irreducible axis
+  vectors below it, and those alone split every node into the same parts.
 """
 
 from __future__ import annotations
@@ -70,6 +85,35 @@ def _perp_layers(qm):
                     row[x] |= slab
         out.append(row)
     return tuple(out)
+
+
+def join_irreducibles(qm):
+    """Bitmask of J, the nonzero vectors that are not the sum of the vectors
+    strictly below them; kept on the quasimodule.
+
+    + is the coordinatewise join, so a vector with two coordinates above
+    bottom is the sum of its projections onto them, both strictly below it.
+    Below an axis vector (e at coordinate i, bottom elsewhere) lie the axis
+    vectors of the elements under e, all in the factor as it is an ideal. So
+    J is the axis vectors whose element e is join-irreducible in L: not
+    bottom, and not the join of the elements strictly below it (e has a
+    single lower cover).
+    """
+    if qm._irreducibles is None:
+        join, down, bottom = qm.lattice.join, qm.lattice.down, qm.lattice.bottom
+        base = [bottom] * len(qm.factors)
+        out = 0
+        for i, factor in enumerate(qm.factors):
+            for e in iter_bits(factor.members):
+                below = bottom
+                for x in iter_bits(down[e] ^ 1 << e):
+                    below = join[below][x]
+                if below != e:
+                    coords = base.copy()
+                    coords[i] = e
+                    out |= 1 << qm.index[tuple(coords)]
+        qm._irreducibles = out
+    return qm._irreducibles
 
 
 def perp(qm, vectors):
@@ -204,24 +248,32 @@ class ClosedLattice(SubQMLattice):
     the companion of some node is not a node.
 
     Each companion is put together from those of smaller nodes, in node
-    order. The meets of node N with the axis companions (the generators of
-    closed_sets) are nodes, and the proper ones come before N. Let rest be
-    the members of N outside the meets already done. N is the union of those
-    meets and rest, so the meet of the singleton companions over N is the
-    AND of the meets over the parts. perp(X) is that meet whenever the meet
-    holds a vector other than zero, since perp stops only at {zero}. So if
-    the AND of the parts' companions (stored, and perp(rest)) holds such a
+    order. The meets of node N with the generators, the companions of the
+    join-irreducible vectors (join_irreducibles), are nodes, and the proper
+    ones come before N. Let rest be the members of N outside the meets
+    already done. N is the union of those meets and rest, for any choice of
+    generators, so the meet of the singleton companions over N is the AND of
+    the meets over the parts. perp(X) is that meet whenever the
+    meet holds a vector other than zero, since perp stops only at {zero}. So
+    if the AND of the parts' companions (stored, and perp(rest)) holds such a
     vector, each part's companion does too and is exact (by induction over
     the node order), and the AND is perp(N). Otherwise perp(N) is called,
     which stops at {zero} exactly as perp does, under any companion table.
-    When the companions are those of an orthogonality relation, only the
-    top node gets there, and each vector lies in one rest only.
+
+    When the companions are those of an orthogonality relation and the
+    factors are 0-distributive, only the top node gets there, and each
+    vector lies in one rest only. The join-irreducible generators then leave
+    every rest as it would be with all axis companions: the companion g of
+    the axis vector of e is the meet of those of the join-irreducible
+    j <= e, as x ^ e = 0 iff x ^ j = 0 for each of them (e is their join).
+    A node not inside g is not inside one of those, which holds g, so the
+    members in g leave its rest either way.
     """
 
     def __init__(self, qm, node_masks):
         super().__init__(qm, node_masks, join_closure=lambda m: perp(qm, perp(qm, m)),
                          kind="closed")
-        generators = tuple(_axis_companions(qm))
+        generators = {principal_perp(qm, p) for p in iter_bits(join_irreducibles(qm))}
         nonzero = qm.full_mask ^ 1 << qm.zero
         done = {}  # node mask -> its companion, for the nodes before this one
         perp_map = []
@@ -313,9 +365,18 @@ def is_splitting(qm, sub):
 
     The intersection of sub with its companion is always exactly {zero};
     anything else raises CompanionOverlap. Once the closed lattice is built,
-    the companion of one of its nodes is read from its involution. As
-    |A + B| <= |A| |B|, a pair whose sizes multiply to less than |Q| does not
-    split, and its sum is not taken.
+    the companion of one of its nodes is read from its involution.
+
+    The sum is decided on J, the join-irreducible vectors
+    (join_irreducibles), where it can be. If j = x + y with x in P and y in
+    P*, then x, y <= j, so x = j or y = j: a pair that misses a vector of J
+    does not split, whatever the two sets are. A closed node whose pair holds
+    all of J splits: its companion is a node too, and every node holds zero
+    and is closed under + (it is an intersection of axis companions, which
+    closed_subquasimodules checked to be subquasimodules). Every q is the
+    sum of the vectors of J below it, so q is the sum of those in P, which
+    lies in P, and those in P*, which lies in P*. Any other pair is decided
+    by sum_set.
     """
     closed = qm._closed
     i = None if closed is None else closed.index.get(sub.members)
@@ -324,8 +385,10 @@ def is_splitting(qm, sub):
         raise CompanionOverlap(
             f"{sub} meets its companion in {qm.label_sets(sub.members & companion)}, "
             f"not in the zero vector alone")
-    if len(sub) * companion.bit_count() < qm.size:
+    if join_irreducibles(qm) & ~(sub.members | companion):
         return False
+    if i is not None:
+        return True
     return sum_set(qm, sub.members, companion) == qm.full_mask
 
 

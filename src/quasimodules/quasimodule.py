@@ -80,8 +80,8 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_pperp", "_perp_layers", "_orbits", "_factor_qms", "_closed", "_slabs",
-                 "_moves", "_steps")
+                 "_pperp", "_perp_layers", "_orbits", "_irreducibles", "_factor_qms",
+                 "_closed", "_slabs", "_moves", "_steps")
 
     def __init__(self, lattice, factors, carrier, index):
         self.lattice = lattice
@@ -96,6 +96,8 @@ class CanonicalQM:
         self._perp_layers = None
         # per position p, the bitmask {c p : c in L}, built by scalar_orbits
         self._orbits = None
+        # bitmask of the join-irreducible vectors, built by galois.join_irreducibles
+        self._irreducibles = None
         self._factor_qms = {}
         # the ClosedLattice, set by closed_subquasimodules once its checks pass
         self._closed = None

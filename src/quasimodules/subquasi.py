@@ -247,8 +247,10 @@ def all_subquasimodules(qm, max_nodes=200_000):
     contains that ancestor, so if the stored closure holds a position below
     p outside B, close(B + {p}) holds it too and p is skipped without a
     closure call. A node's own failures are added to its copy of the list,
-    which all its children share. At most |Q| closure calls per node.
-    Raises EnumerationBudgetExceeded iff the lattice has more than max_nodes
+    which all its children share; the copy is made at its first failure (the
+    children pushed before it are pointed at it then), so a node that never
+    fails passes its parent's list on as it is. At most |Q| closure calls
+    per node. Raises EnumerationBudgetExceeded iff the lattice has more than max_nodes
     nodes.
     """
     bottom = close_mask(qm, 0)
@@ -257,7 +259,8 @@ def all_subquasimodules(qm, max_nodes=200_000):
     stack = [(bottom, 0, [0] * qm.size)]
     while stack:
         b, y, inherited = stack.pop()
-        failed = list(inherited)
+        failed = inherited
+        mark = len(stack)
         not_b = ~b
         candidates = full & ~b >> y << y
         while candidates:
@@ -269,6 +272,9 @@ def all_subquasimodules(qm, max_nodes=200_000):
                 continue
             c = close_mask(qm, low, base=b)
             if (c ^ b) & below:
+                if failed is inherited:
+                    failed = list(inherited)
+                    stack[mark:] = [(s, z, failed) for s, z, _ in stack[mark:]]
                 failed[p] = c
                 continue
             nodes.append(c)

@@ -663,6 +663,31 @@ def closed_lattice_contexts():
         yield spec, read_qm_file(os.path.join(SPECS, spec))
 
 
+def all_axis_perp_map(qm, node_masks):
+    """The ClosedLattice construction before join-irreducible generators,
+    kept as the oracle: the parts taken from every distinct axis companion."""
+    nodes = SubQMLattice(qm, node_masks, join_closure=None, kind="closed")
+    generators = tuple(galois._axis_companions(qm))
+    nonzero = qm.full_mask ^ 1 << qm.zero
+    done, out = {}, []
+    for mask in nodes.nodes:
+        companion, rest = qm.full_mask, mask
+        for g in generators:
+            part = done.get(mask & g)
+            if part is not None:
+                companion &= part
+                rest &= ~g
+        companion &= perp(qm, rest)
+        if not companion & nonzero:
+            companion = perp(qm, mask)
+        if companion not in nodes.index:
+            raise CompanionNotClosed(
+                f"companion of closed set {qm.label_sets(mask)} is not closed")
+        done[mask] = companion
+        out.append(nodes.index[companion])
+    return tuple(out)
+
+
 def test_perp_map_matches_the_per_node_walk():
     outcomes, cases = set(), 0
     for label, qm in closed_lattice_contexts():
@@ -670,6 +695,7 @@ def test_perp_map_matches_the_per_node_walk():
         want = result_or_error(old_perp_map, qm, nodes)
         got = result_or_error(lambda: ClosedLattice(qm, nodes).perp_map)
         assert got == want, label
+        assert result_or_error(all_axis_perp_map, qm, nodes) == want, label
         outcomes.add(got[0] if isinstance(got[0], type) else "map")
         cases += 1
     assert cases == 284
@@ -678,10 +704,12 @@ def test_perp_map_matches_the_per_node_walk():
 
 def old_is_splitting(qm, mask):
     """The oracle: the companion by perp, then the OR of the companion's
-    image under every member, with no size cut."""
+    image under every member, with no cut."""
     companion = perp(qm, mask)
     if mask & companion != 1 << qm.zero:
-        raise CompanionOverlap(mask)
+        raise CompanionOverlap(
+            f"{SubQM(qm, mask)} meets its companion in {qm.label_sets(mask & companion)}, "
+            f"not in the zero vector alone")
     out = 0
     for p in iter_bits(mask):
         out |= qm.image(companion, p)
@@ -705,6 +733,82 @@ def test_is_splitting_matches_the_uncut_member_sum(spec):
         assert got == want, mask
         splits += got is True
     assert splits > 0
+
+
+def test_is_splitting_matches_the_oracle_on_the_closed_nodes():
+    # every closed node of every context whose closed lattice builds, the
+    # poisoned ones and the three closed-products specs among them
+    built, held_back, labels = 0, 0, set()
+    for label, qm in closed_lattice_contexts():
+        try:
+            closed = closed_subquasimodules(qm)
+        except Error:
+            continue
+        built += 1
+        labels.add(label)
+        got = []
+        for mask in closed.nodes:
+            want = result_or_error(old_is_splitting, qm, mask)
+            got.append(result_or_error(lambda: is_splitting(qm, SubQM(qm, mask))))
+            assert got[-1] == want, (label, mask)
+        held_back += False in got
+    assert built == 147
+    assert {"bool3.cube.qm", "bool3.sq-x-ab.qm", "n5.pow4.qm"} <= labels
+    # contexts with a closed node that does not split (6 of them unpoisoned
+    # lattices up to 5 elements), so the closed path is not always True
+    assert held_back == 15
+
+
+def generic_join_irreducibles(qm):
+    """Oracle: p != zero, and the sum of the q != p with p + q = p is not p."""
+    out = 0
+    for p in range(qm.size):
+        below = qm.zero
+        for q in range(qm.size):
+            if q != p and qm.add(p, q) == p:
+                below = qm.add(below, q)
+        if p != qm.zero and below != p:
+            out |= 1 << p
+    return out
+
+
+def test_join_irreducibles_match_the_definition():
+    cfg = SearchConfig(max_lattice_size=5)
+    contexts = [(f"{lat.up} {factors}", canonical(lat, factors))
+                for n in range(1, 6) for lat in _exhaustive_lattices(n)
+                for factors in _factor_variants(lat, cfg)]
+    contexts += [(spec, read_qm_file(os.path.join(SPECS, spec))) for spec in SMALL_SPECS]
+    assert len(contexts) == 61 + 6
+    for label, qm in contexts:
+        assert galois.join_irreducibles(qm) == generic_join_irreducibles(qm), label
+
+
+def rests(qm, nodes, generators):
+    """Per closed node N, the members of N outside its proper meets with the
+    generators: what ClosedLattice passes to perp."""
+    out = []
+    for mask in nodes:
+        rest = mask
+        for g in generators:
+            if mask & g != mask:
+                rest &= ~g
+        out.append(rest)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["bool3.cube", "bool3.sq-x-ab", "n5.pow4", "ex1", "n5.sq"])
+def test_join_irreducible_generators_keep_every_rest(spec):
+    # under the orthogonality relation with 0-distributive factors, the
+    # join-irreducible generators give the same parts as all axis companions
+    qm = read_qm_file(os.path.join(SPECS, spec + ".qm"))
+    closed = closed_subquasimodules(qm)
+    axis = tuple(galois._axis_companions(qm))
+    irreducible = {principal_perp(qm, p) for p in iter_bits(galois.join_irreducibles(qm))}
+    assert irreducible < set(axis)
+    got = rests(qm, closed.nodes, irreducible)
+    assert got == rests(qm, closed.nodes, axis)
+    # and each vector lies in one rest only
+    assert sum(r.bit_count() for r in got) == qm.size
 
 
 @pytest.mark.parametrize("spec", ["bool3.cube", "bool3.sq-x-ab", "n5.pow4"])

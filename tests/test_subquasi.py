@@ -255,6 +255,28 @@ def cbo_nodes(qm):
     return tuple(sorted(nodes, key=bit_key))
 
 
+def copying_fcbo_nodes(qm):
+    """The former FCbO loop, kept as the oracle: every node copies its
+    parent's failure list before its first attempt."""
+    bottom = subquasi.close_mask(qm, 0)
+    nodes = [bottom]
+    stack = [(bottom, 0, [0] * qm.size)]
+    while stack:
+        b, y, inherited = stack.pop()
+        failed = list(inherited)
+        for p in range(y, qm.size):
+            below = (1 << p) - 1
+            if b >> p & 1 or failed[p] & below & ~b:
+                continue
+            c = subquasi.close_mask(qm, 1 << p, base=b)
+            if (c ^ b) & below:
+                failed[p] = c
+                continue
+            nodes.append(c)
+            stack.append((c, p + 1, failed))
+    return tuple(sorted(nodes, key=bit_key))
+
+
 # ex1, N5 and the three subs-ladder instances of the benchmark
 FCBO_INSTANCES = {"ex1": ("n5", ["*", "a"]), "n5": ("n5", ["*"]),
                   "chain5.sq": ("chain_5", ["*", "*"]),
@@ -271,6 +293,11 @@ def test_fcbo_matches_cbo_with_fewer_closures(name, monkeypatch):
                         lambda *args, **kw: calls.append(None) or real(*args, **kw))
     nodes = all_subquasimodules(qm).nodes
     fcbo_calls = len(calls)
+    calls.clear()
+    # copying on a node's first failure makes the same closure calls; the
+    # children pushed before that failure must still see it
+    assert nodes == copying_fcbo_nodes(qm)
+    assert len(calls) == fcbo_calls
     calls.clear()
     assert nodes == cbo_nodes(qm)
     cbo_calls = len(calls)
