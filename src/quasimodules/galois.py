@@ -47,17 +47,19 @@ from .errors import (
     SplittingNotClosed,
 )
 from .lattice import FrozenRecord, is_0_distributive, set_field
+from .quasimodule import CanonicalQM
 from .subquasi import SubQM, SubQMLattice, all_subquasimodules, is_subquasimodule
 
 
 def principal_perp(qm, p):
-    """Companion bitmask of a single vector, cached on the quasimodule.
+    """Companion bitmask of a single vector, cached on the quasimodule; a
+    companion seeded by with_companions is returned as seeded.
 
     A vector is orthogonal to p iff each coordinate meets p's coordinate in
     bottom, so the companion is the AND over coordinates i of the layer of
-    (i, p_i): the OR of the slabs coord_mask(i, e) with e ^ p_i = bottom.
-    The layers are built once per quasimodule, so each companion is one AND
-    per factor.
+    (i, p_i): the OR of the slab rows (e, slab) of factor i with
+    e ^ p_i = bottom. The layers are built once per quasimodule, so each
+    companion is one AND per factor.
     """
     cached = qm._pperp.get(p)
     if cached is not None:
@@ -116,23 +118,43 @@ def join_irreducibles(qm):
     return qm._irreducibles
 
 
+def with_companions(qm, companions):
+    """A fresh quasimodule on qm's lattice, factors and carrier whose
+    singleton companions at the given positions are the given bitmasks.
+
+    This is the fault-injection seam: the companions are stored before any
+    computation, so every companion map built on the copy is the meet of
+    these and of the computed ones, even where they break orthogonality.
+    Raises NotInCarrier for a position or mask outside the carrier; qm
+    itself is not changed.
+    """
+    seeded = {}
+    for p, mask in companions.items():
+        qm._check(p)
+        seeded[p] = qm.mask(mask)
+    out = CanonicalQM(qm.lattice, qm.factors, qm.carrier, qm.index)
+    out._pperp.update(seeded)
+    out._zeroless = any(not mask >> out.zero & 1 for mask in seeded.values())
+    return out
+
+
 def perp(qm, vectors):
     """Companion bitmask of a carrier subset; the empty subset gives everything.
 
-    The meet of the stored singleton companions (qm._pperp) over the members,
+    The meet of the singleton companions (principal_perp) over the members,
     in increasing position order, stopping once it is {zero}. While every
-    stored companion holds zero, as computed ones do, a meet that reached
-    {zero} stays there, so the result does not depend on the order: the walk
-    then runs from the highest position down, where vectors have the
-    largest coordinates and the fewest orthogonal vectors, and usually stops
-    after a step or two. Once some stored companion lacks zero (a write from
-    outside, tracked by CompanionTable.zeroless), where the walk stops
-    changes the result, and it takes the increasing order.
+    companion holds zero, as computed ones do, a meet that reached {zero}
+    stays there, so the result does not depend on the order: the walk then
+    runs from the highest position down, where vectors have the largest
+    coordinates and the fewest orthogonal vectors, and usually stops after a
+    step or two. Only a companion seeded by with_companions can lack zero;
+    then where the walk stops changes the result, and it takes the
+    increasing order.
     """
     mask = qm.mask(vectors)
     out = qm.full_mask
     zero_only = 1 << qm.zero
-    if qm._pperp.zeroless:
+    if qm._zeroless:
         for p in iter_bits(mask):
             out &= principal_perp(qm, p)
             if out == zero_only:
@@ -257,8 +279,12 @@ class ClosedLattice(SubQMLattice):
     meet holds a vector other than zero, since perp stops only at {zero}. So
     if the AND of the parts' companions (stored, and perp(rest)) holds such a
     vector, each part's companion does too and is exact (by induction over
-    the node order), and the AND is perp(N). Otherwise perp(N) is called,
-    which stops at {zero} exactly as perp does, under any companion table.
+    the node order), and the AND is perp(N). The AND holds zero unless a
+    companion seeded without zero (with_companions) drops it, and when it is
+    {zero}, perp(N) is {zero} as well: some part's walk stopped at {zero}
+    before the first member whose companion lacks zero, so N's walk does
+    too. Only an empty AND, which takes such a seeded companion, calls
+    perp(N), which stops where perp does.
 
     When the companions are those of an orthogonality relation and the
     factors are 0-distributive, only the top node gets there, and each
@@ -274,7 +300,6 @@ class ClosedLattice(SubQMLattice):
         super().__init__(qm, node_masks, join_closure=lambda m: perp(qm, perp(qm, m)),
                          kind="closed")
         generators = {principal_perp(qm, p) for p in iter_bits(join_irreducibles(qm))}
-        nonzero = qm.full_mask ^ 1 << qm.zero
         done = {}  # node mask -> its companion, for the nodes before this one
         perp_map = []
         for mask in self.nodes:
@@ -285,7 +310,7 @@ class ClosedLattice(SubQMLattice):
                     out &= companion
                     rest &= ~g
             out &= perp(qm, rest)
-            if not out & nonzero:
+            if not out:
                 out = perp(qm, mask)
             i = self.index.get(out)
             if i is None:

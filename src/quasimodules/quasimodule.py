@@ -31,46 +31,6 @@ from .errors import (
 from .lattice import FrozenRecord, Ideal, is_ideal, load_lattice, read_text, set_field
 
 
-class CompanionTable(dict):
-    """Carrier position -> singleton companion bitmask: the cache behind
-    galois.principal_perp, which galois.perp meets over a subset.
-
-    A computed companion always holds the zero vector, as zero is orthogonal
-    to every vector. `zeroless` holds the positions whose stored companion
-    lacks the zero bit, so only writes from outside the library put any
-    there; galois.perp reads it to pick its walk order. Every write goes
-    through __setitem__. Removing an entry keeps its position in `zeroless`,
-    which can only keep perp on its ascending walk.
-    """
-
-    __slots__ = ("zero", "zeroless")
-
-    def __init__(self, zero):
-        super().__init__()
-        self.zero = zero
-        self.zeroless = set()
-
-    def __setitem__(self, p, companion):
-        if companion >> self.zero & 1:
-            self.zeroless.discard(p)
-        else:
-            self.zeroless.add(p)
-        super().__setitem__(p, companion)
-
-    def update(self, *args, **kwargs):
-        for p, companion in dict(*args, **kwargs).items():
-            self[p] = companion
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def setdefault(self, p, companion=None):
-        if p not in self:
-            self[p] = companion
-        return self[p]
-
-
 class CanonicalQM:
     """A canonical quasimodule over a finite bounded lattice.
 
@@ -80,8 +40,8 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_pperp", "_perp_layers", "_orbits", "_irreducibles", "_factor_qms",
-                 "_closed", "_slabs", "_moves", "_steps")
+                 "_pperp", "_zeroless", "_perp_layers", "_orbits", "_irreducibles",
+                 "_factor_qms", "_closed", "_slabs", "_moves", "_steps")
 
     def __init__(self, lattice, factors, carrier, index):
         self.lattice = lattice
@@ -90,7 +50,11 @@ class CanonicalQM:
         self.index = index
         self.size = len(carrier)
         self.zero = index[tuple([lattice.bottom] * len(factors))]
-        self._pperp = CompanionTable(self.zero)
+        # position -> singleton companion bitmask, filled by
+        # galois.principal_perp or seeded by galois.with_companions, which sets
+        # _zeroless when a seeded companion lacks the zero bit
+        self._pperp = {}
+        self._zeroless = False
         # per factor i, element x -> the vectors whose i-th coordinate meets
         # x in bottom; built by galois.principal_perp
         self._perp_layers = None
@@ -211,7 +175,7 @@ class CanonicalQM:
 
     def project(self, vectors, i):
         """Element bitmask of the i-th coordinates of a carrier subset: the
-        elements e whose slab coord_mask(i, e) meets it."""
+        elements e whose slab row (e, slab) of factor i meets it."""
         if not 0 <= i < len(self.factors):
             raise IndexOutOfRange(f"factor index out of range: {i}")
         mask = self.mask(vectors)
@@ -222,8 +186,9 @@ class CanonicalQM:
         return out
 
     def slabs(self):
-        """Per factor i, the pairs (e, coord_mask(i, e)) over its members in
-        index order; built once."""
+        """Per factor i, the slab rows (e, slab) over its members in index
+        order, slab the carrier bitmask of the vectors whose i-th coordinate
+        is e; built once."""
         if self._slabs is None:
             masks = [{} for _ in self.factors]
             for p, u in enumerate(self.carrier):
@@ -232,18 +197,11 @@ class CanonicalQM:
             self._slabs = tuple(tuple(sorted(m.items())) for m in masks)
         return self._slabs
 
-    def coord_mask(self, i, element):
-        """Carrier bitmask of all vectors whose i-th coordinate is `element`."""
-        for e, slab in self.slabs()[i]:
-            if e == element:
-                return slab
-        return 0
-
     def image(self, mask, p):
         """Bitmask of {p + q : q in mask}, p a carrier position.
 
         Positions are row-major over the factor member lists, so changing
-        coordinate i from e to e' moves the whole slab coord_mask(i, e) by one
+        coordinate i from e to e' moves the whole slab of row (e, slab) by one
         bit offset. The map acts on one coordinate at a time, each step a few
         masked shifts of the whole bitmask; ideals are closed under join, so
         no shift leaves the carrier. The steps of each p are validated and

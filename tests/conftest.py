@@ -13,6 +13,7 @@ from quasimodules.galois import (
     is_closed,
     principal_perp,
     product_mask,
+    with_companions,
 )
 
 
@@ -48,21 +49,18 @@ SUBSET_INSTANCES = {"ex1": ("n5", ["*", "a"]), "m3xa": ("m3", ["*", "a"]),
 
 def poisoned(lattice, gens):
     """The instance unpoisoned, then with the zero bit of each singleton
-    companion flipped, then with 2m seeded other bits flipped, each before the
-    context is built: the companion map stays a meet of its singleton
+    companion flipped, then with 2m seeded other bits flipped, each seeded
+    through with_companions: the companion map stays a meet of its singleton
     entries, but the relation may be broken. Yields (poison, qm)."""
     plain = qm_from(lattice, gens)
     size, zero = plain.size, plain.zero
     others = [q for q in range(size) if q != zero]
     rng = random.Random(size)
-    poisons = [None, *((p, zero) for p in range(size)),
+    poisons = [*((p, zero) for p in range(size)),
                *((rng.randrange(size), rng.choice(others)) for _ in range(2 * size))]
-    for poison in poisons:
-        qm = qm_from(lattice, gens)
-        if poison is not None:
-            p, q = poison
-            qm._pperp[p] = principal_perp(qm, p) ^ 1 << q
-        yield poison, qm
+    yield None, plain
+    for p, q in poisons:
+        yield (p, q), with_companions(plain, {p: principal_perp(plain, p) ^ 1 << q})
 
 
 class FactorizationWitness(NamedTuple):

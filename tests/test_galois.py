@@ -44,6 +44,7 @@ from quasimodules.galois import (
     factor_zero_distributivity,
     principal_perp,
     product_mask,
+    with_companions,
 )
 from quasimodules.subquasi import SubQMLattice
 from quasimodules.verify import SearchConfig
@@ -355,10 +356,9 @@ def test_closed_sets_match_singleton_closure_on_small_lattices():
 
 
 def test_poisoned_axis_companion_fails_the_self_check(ex1_qm):
-    qm = ex1_qm
-    p = qm.vector("a", "0")
+    p = ex1_qm.vector("a", "0")
     # the companion of (a,0) without the zero vector is no subquasimodule
-    qm._pperp[p] = principal_perp(qm, p) ^ 1 << qm.zero
+    qm = with_companions(ex1_qm, {p: principal_perp(ex1_qm, p) ^ 1 << ex1_qm.zero})
     with pytest.raises(FactorizationFailed) as err:
         closed_subquasimodules(qm)
     assert "axis vector ('a', '0')" in str(err.value)
@@ -490,7 +490,7 @@ def walk_project(qm, vectors, i):
 
 
 def per_element_product_mask(qm, element_masks):
-    """The former product_mask, kept as the oracle: one coord_mask call per
+    """The former product_mask, kept as the oracle: one slab row lookup per
     element."""
     if len(element_masks) != len(qm.factors):
         raise ValueError("need one element mask per factor")
@@ -498,7 +498,7 @@ def per_element_product_mask(qm, element_masks):
     for i, em in enumerate(element_masks):
         layer = 0
         for e in iter_bits(em):
-            layer |= qm.coord_mask(i, e)
+            layer |= dict(qm.slabs()[i]).get(e, 0)
         out &= layer
     return out
 
@@ -517,7 +517,7 @@ def test_slab_project_and_product_match_the_walks(spec):
     for i, slabs in enumerate(qm.slabs()):
         assert [e for e, _ in slabs] == list(iter_bits(qm.factors[i].members))
         for e in range(n):
-            assert qm.coord_mask(i, e) == mask_of(
+            assert dict(slabs).get(e, 0) == mask_of(
                 p for p, u in enumerate(qm.carrier) if u[i] == e)
     rng = random.Random(spec)
     masks = [*closed_sets(qm), 0, *(rng.getrandbits(qm.size) & rng.getrandbits(qm.size)
@@ -869,34 +869,36 @@ def test_perp_matches_the_ascending_walk_on_the_poisoned_contexts():
     assert order_matters
 
 
-def test_perp_sees_a_poison_written_after_the_first_walk():
+def test_perp_walks_a_seeded_copy_in_increasing_order():
+    # plain, walked over every mask first, keeps its descending walk; a copy
+    # seeded with a companion without zero takes the ascending one
+    plain = qm_from("n5", ["*", "a"])
+    for mask in range(1 << plain.size):
+        assert perp(plain, mask) == descending_perp(plain, mask)
     order_matters = 0
     for p in range(10):
-        qm = qm_from("n5", ["*", "a"])
-        for mask in range(1 << qm.size):
-            assert perp(qm, mask) == ascending_perp(qm, mask)
-        assert not qm._pperp.zeroless
-        qm._pperp[p] = principal_perp(qm, p) ^ 1 << qm.zero
-        assert qm._pperp.zeroless == {p}
+        qm = with_companions(plain, {p: principal_perp(plain, p) ^ 1 << plain.zero})
         for mask in range(1 << qm.size):
             want = ascending_perp(qm, mask)
             assert perp(qm, mask) == want, (p, mask)
             order_matters += descending_perp(qm, mask) != want
     assert order_matters
+    for mask in range(1 << plain.size):
+        assert perp(plain, mask) == descending_perp(plain, mask)
 
 
-def test_companion_table_tracks_every_write(ex1_qm):
-    table = ex1_qm._pperp
-    zero = 1 << ex1_qm.zero
-    table[1] = 0
-    table.update({2: 6})
-    table |= {3: 0}
-    table.setdefault(4, 0)
-    table.setdefault(1, zero)
-    assert table.zeroless == {1, 2, 3, 4}
-    table[1] = zero
-    table.update([(2, zero | 2)])
-    assert table.zeroless == {3, 4}
+def test_with_companions_rejects_what_is_outside_the_carrier(ex1_qm):
+    qm = ex1_qm
+    walked = [perp(qm, mask) for mask in range(1 << qm.size)]
+    cache = dict(qm._pperp)
+    for companions in ({qm.size: 1}, {-1: 1}, {"0": 1}, {0: 1 << qm.size}, {0: -1}):
+        with pytest.raises(NotInCarrier):
+            with_companions(qm, companions)
+    assert qm._pperp == cache
+    assert [perp(qm, mask) for mask in range(1 << qm.size)] == walked
+    seeded = with_companions(qm, {0: qm.full_mask})
+    assert seeded is not qm and principal_perp(seeded, 0) == qm.full_mask
+    assert qm._pperp == cache
 
 
 def test_iso_images_are_the_product_masks():

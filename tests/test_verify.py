@@ -379,7 +379,7 @@ def test_covering_steps_keep_pair_scan_records(case, ex1_qm, m3_qm, monkeypatch)
         # the generator pairs can only see through the last singleton
         p, q = qm.vector("a", "a"), qm.vector("1", "a")
         assert q == qm.size - 1
-        qm._pperp[p] = principal_perp(qm, p) | 1 << q
+        qm = galois.with_companions(qm, {p: principal_perp(qm, p) | 1 << q})
         assert not principal_perp(qm, q) >> p & 1
     new = _records(qm, monkeypatch, scans=False)
     old = _records(qm, monkeypatch, scans=True)
@@ -477,12 +477,12 @@ def test_lem1_on_generators_keeps_subset_walk_records(name):
     # unpoisoned, then each singleton companion poisoned before the context
     # is built (so the table stays the meet of its singleton entries), then
     # the table entry of the empty set broken
-    lattice, gens = COMPANION_INSTANCES[name]
-    size = qm_from(lattice, gens).size
+    plain = qm_from(*COMPANION_INSTANCES[name])
+    size = plain.size
     for poison in (None, "empty", *range(size)):
-        qm = qm_from(lattice, gens)
-        if poison not in (None, "empty"):
-            qm._pperp[poison] = principal_perp(qm, poison) ^ 1 << qm.zero
+        seeds = {} if poison in (None, "empty") else {
+            poison: principal_perp(plain, poison) ^ 1 << plain.zero}
+        qm = galois.with_companions(plain, seeds)
         ctx = laws._Ctx(qm, Budgets(), name)
         if poison == "empty":
             ctx.perp[0] ^= 1 << qm.zero
@@ -834,8 +834,8 @@ def test_th3_catches_a_product_that_is_no_closed_node():
     # fig5 with b orthogonal to every vector: the companion {0, a, c} of b
     # is no longer a generator, so its product is no closed node, while
     # every closed node still factors; the former th3 raised here
-    qm = qm_from("fig5", ["*"])
-    qm._pperp[qm.vector("b")] = qm.full_mask
+    plain = qm_from("fig5", ["*"])
+    qm = galois.with_companions(plain, {plain.vector("b"): plain.full_mask})
     new, old = laws._Ctx(qm, Budgets(), "fig5"), laws._Ctx(qm, Budgets(), "fig5")
     status, witness, _ = laws._c_th3(new)
     assert (status, witness["factor_choice"]) == (FAIL, [["0", "a", "c"]])
@@ -988,10 +988,11 @@ def test_generator_pairs_keep_sampled_pair_failures(name):
                                       if q != p])))
     generators = laws.generators(size)
     for poison in ["empty", *((p, zero) for p in range(size)), *seeded]:
-        qm = qm_from(lattice, gens)
+        seeds = {}
         if poison != "empty":
             p, q = poison
-            qm._pperp[p] = principal_perp(qm, p) & ~(1 << q)
+            seeds[p] = principal_perp(plain, p) & ~(1 << q)
+        qm = galois.with_companions(plain, seeds)
         new, old = laws._Ctx(qm, Budgets(), name), SampledPairCtx(qm, Budgets(), name)
         tab = LazyMeetTable(qm)
         if poison == "empty":
