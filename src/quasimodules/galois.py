@@ -11,26 +11,25 @@ Orthogonality is coordinatewise, so the companion of a vector p is also the
 intersection, over the coordinates i, of the companions of its axis vectors
 (p_i at coordinate i, bottom elsewhere). The closed sets are therefore the
 intersection closure of at most sum |F_i| axis companions, with or without
-0-distributivity, and that is how closed_sets builds them. The closed lattice
-is built once per quasimodule and kept on it, as the companions are; each
-node's companion is put together from the companions of its meets with the
-companions of the join-irreducible vectors, which are smaller nodes, so each
-vector's companion is read about once. A sum A + B is taken on generators of
-the smaller side under +.
+0-distributivity, and that is how closed_sets builds them.
+
+The closed lattice is built once per quasimodule and kept on it, as the
+companions are. With two or more 0-distributive factors it is the product of
+the factors' closed lattices (th3, cor1), and a product's companion is the
+product of the factor companions (lem1), so the involution is the product of
+the factor involutions. One factor, or seeded companions (with_companions),
+which need not come from orthogonality, take the definition: the closed sets
+and one companion per node. A sum A + B is taken on generators of the
+smaller side under +.
 
 The join-irreducible vectors J (join_irreducibles) are the nonzero vectors
 that are not the sum of the vectors strictly below them. Every vector is the
 sum of the vectors of J below it (Davey & Priestley, Introduction to Lattices
-and Order, 2002), which gives two shortcuts:
-- Splitting. If j in J is x + y, then x, y <= j, so x = j or y = j. A pair
-  P, P* that misses a vector of J therefore does not sum to Q, whatever the
-  sets are. When P and P* hold all of J and are both closed under + with
-  zero, as closed-lattice nodes are, each q is the sum of the vectors of J
-  below it in P plus those in P*, so P + P* = Q with no sum taken.
-- The involution. With 0-distributive factors, x ^ e = 0 iff x ^ j = 0 for
-  every join-irreducible j <= e, as e is their join. So the companion of
-  the axis vector of e is the meet of those of the join-irreducible axis
-  vectors below it, and those alone split every node into the same parts.
+and Order, 2002). If j in J is x + y, then x, y <= j, so x = j or y = j. A
+pair P, P* that misses a vector of J therefore does not sum to Q, whatever
+the sets are. When P and P* hold all of J and are both closed under + with
+zero, as closed-lattice nodes are, each q is the sum of the vectors of J
+below it in P plus those in P*, so P + P* = Q with no sum taken.
 """
 
 from __future__ import annotations
@@ -125,6 +124,8 @@ def with_companions(qm, companions):
     This is the fault-injection seam: the companions are stored before any
     computation, so every companion map built on the copy is the meet of
     these and of the computed ones, even where they break orthogonality.
+    The copy is marked seeded, so perp walks it in increasing order and its
+    closed lattice is built from the definition, not from the factors.
     Raises NotInCarrier for a position or mask outside the carrier; qm
     itself is not changed.
     """
@@ -134,7 +135,7 @@ def with_companions(qm, companions):
         seeded[p] = qm.mask(mask)
     out = CanonicalQM(qm.lattice, qm.factors, qm.carrier, qm.index)
     out._pperp.update(seeded)
-    out._zeroless = any(not mask >> out.zero & 1 for mask in seeded.values())
+    out._seeded = True
     return out
 
 
@@ -148,13 +149,13 @@ def perp(qm, vectors):
     runs from the highest position down, where vectors have the largest
     coordinates and the fewest orthogonal vectors, and usually stops after a
     step or two. Only a companion seeded by with_companions can lack zero;
-    then where the walk stops changes the result, and it takes the
+    then where the walk stops changes the result, so a seeded copy takes the
     increasing order.
     """
     mask = qm.mask(vectors)
     out = qm.full_mask
     zero_only = 1 << qm.zero
-    if qm._zeroless:
+    if qm._seeded:
         for p in iter_bits(mask):
             out &= principal_perp(qm, p)
             if out == zero_only:
@@ -266,57 +267,20 @@ class ClosedLattice(SubQMLattice):
     """The complete lattice of closed subquasimodules with its involution:
     `perp_map[i]` is the index of node i's companion, itself a node.
 
-    Join is the double companion of the union. Raises CompanionNotClosed if
-    the companion of some node is not a node.
-
-    Each companion is put together from those of smaller nodes, in node
-    order. The meets of node N with the generators, the companions of the
-    join-irreducible vectors (join_irreducibles), are nodes, and the proper
-    ones come before N. Let rest be the members of N outside the meets
-    already done. N is the union of those meets and rest, for any choice of
-    generators, so the meet of the singleton companions over N is the AND of
-    the meets over the parts. perp(X) is that meet whenever the
-    meet holds a vector other than zero, since perp stops only at {zero}. So
-    if the AND of the parts' companions (stored, and perp(rest)) holds such a
-    vector, each part's companion does too and is exact (by induction over
-    the node order), and the AND is perp(N). The AND holds zero unless a
-    companion seeded without zero (with_companions) drops it, and when it is
-    {zero}, perp(N) is {zero} as well: some part's walk stopped at {zero}
-    before the first member whose companion lacks zero, so N's walk does
-    too. Only an empty AND, which takes such a seeded companion, calls
-    perp(N), which stops where perp does.
-
-    When the companions are those of an orthogonality relation and the
-    factors are 0-distributive, only the top node gets there, and each
-    vector lies in one rest only. The join-irreducible generators then leave
-    every rest as it would be with all axis companions: the companion g of
-    the axis vector of e is the meet of those of the join-irreducible
-    j <= e, as x ^ e = 0 iff x ^ j = 0 for each of them (e is their join).
-    A node not inside g is not inside one of those, which holds g, so the
-    members in g leave its rest either way.
+    Join is the double companion of the union. `companion` maps each node
+    mask to its companion mask. Raises CompanionNotClosed at the first node,
+    in node order, whose companion is not a node.
     """
 
-    def __init__(self, qm, node_masks):
+    def __init__(self, qm, node_masks, companion):
         super().__init__(qm, node_masks, join_closure=lambda m: perp(qm, perp(qm, m)),
                          kind="closed")
-        generators = {principal_perp(qm, p) for p in iter_bits(join_irreducibles(qm))}
-        done = {}  # node mask -> its companion, for the nodes before this one
         perp_map = []
         for mask in self.nodes:
-            out, rest = qm.full_mask, mask
-            for g in generators:
-                companion = done.get(mask & g)
-                if companion is not None:
-                    out &= companion
-                    rest &= ~g
-            out &= perp(qm, rest)
-            if not out:
-                out = perp(qm, mask)
-            i = self.index.get(out)
+            i = self.index.get(companion(mask))
             if i is None:
                 raise CompanionNotClosed(
                     f"companion of closed set {qm.label_sets(mask)} is not closed")
-            done[mask] = out
             perp_map.append(i)
         self.perp_map = tuple(perp_map)
 
@@ -324,14 +288,21 @@ class ClosedLattice(SubQMLattice):
 def closed_subquasimodules(qm):
     """The ClosedLattice of qm; requires 0-distributive factors.
 
-    Every closed set is an intersection of axis companions, which are closed
-    themselves, so all closed sets are subquasimodules iff those are. The
-    lattice is kept on the quasimodule once every check has passed; errors
-    are not kept.
+    With two or more factors and no seeded companions it is the product of
+    the factors' closed lattices (_product_lattice), each kept on
+    qm.factor_qm(i); a product of factor nodes is a subquasimodule as each
+    of them is one (Lemma 6(ii)). Otherwise it is built from the definition,
+    closed_sets and one perp per node. Every closed set is an intersection
+    of axis companions, which are closed themselves, so all closed sets are
+    subquasimodules iff those are, which is checked. The lattice is kept on
+    the quasimodule once every check has passed; errors are not kept.
     """
     if qm._closed is not None:
         return qm._closed
     _require_zero_distributive(qm)
+    if len(qm.factors) > 1 and not qm._seeded:
+        qm._closed = _product_lattice(qm)
+        return qm._closed
     for mask, p in _axis_companions(qm).items():
         ok, witness = is_subquasimodule(qm, mask)
         if not ok:
@@ -339,8 +310,48 @@ def closed_subquasimodules(qm):
                 f"companion {qm.label_sets(mask)} of axis vector "
                 f"{qm.vector_labels(p)} is not a subquasimodule "
                 f"despite 0-distributive factors (witness {witness})")
-    qm._closed = ClosedLattice(qm, closed_sets(qm))
+    qm._closed = ClosedLattice(qm, closed_sets(qm), lambda mask: perp(qm, mask))
     return qm._closed
+
+
+def _product_lattice(qm):
+    """The closed lattice of a product from its factors' (th3, cor1, lem1).
+
+    A choice (k_1, ..., k_n) of one node per factor is numbered in mixed
+    radix, the last factor fastest, as itertools.product lists the choices.
+    Its image is the product of the chosen sets, and its companion is the
+    image of the choice (perp_map_1[k_1], ..., perp_map_n[k_n]).
+    """
+    lattices = _factor_lattices(qm)
+    images = _product_images(qm, [ems for _, ems in lattices])
+    partner = [0]
+    for fcl, _ in lattices:
+        n = len(fcl)
+        partner = [r * n + k for r in partner for k in fcl.perp_map]
+    companion = dict(zip(images, [images[r] for r in partner]))
+    return ClosedLattice(qm, images, companion.__getitem__)
+
+
+def _factor_lattices(qm):
+    """Per factor i, the closed lattice of qm.factor_qm(i) and its nodes as
+    element masks."""
+    out = []
+    for i in range(len(qm.factors)):
+        fqm = qm.factor_qm(i)
+        fcl = closed_subquasimodules(fqm)
+        out.append((fcl, tuple(factor_element_mask(fqm, m) for m in fcl.nodes)))
+    return out
+
+
+def _product_images(qm, factor_closed):
+    """product_mask of every choice of one element mask per factor, in
+    itertools.product order: the AND of one slab union per factor, each
+    union built once."""
+    images = [qm.full_mask]
+    for ems, slabs in zip(factor_closed, qm.slabs()):
+        unions = [_slab_union(slabs, em) for em in ems]
+        images = [x & u for x in images for u in unions]
+    return images
 
 
 def closed_join(qm, sub_a, sub_b):
@@ -397,11 +408,10 @@ def is_splitting(qm, sub):
     P*, then x, y <= j, so x = j or y = j: a pair that misses a vector of J
     does not split, whatever the two sets are. A closed node whose pair holds
     all of J splits: its companion is a node too, and every node holds zero
-    and is closed under + (it is an intersection of axis companions, which
-    closed_subquasimodules checked to be subquasimodules). Every q is the
-    sum of the vectors of J below it, so q is the sum of those in P, which
-    lies in P, and those in P*, which lies in P*. Any other pair is decided
-    by sum_set.
+    and is closed under +, as closed_subquasimodules builds only
+    subquasimodules (see there). Every q is the sum of the vectors of J
+    below it, so q is the sum of those in P, which lies in P, and those in
+    P*, which lies in P*. Any other pair is decided by sum_set.
     """
     closed = qm._closed
     i = None if closed is None else closed.index.get(sub.members)
@@ -438,10 +448,7 @@ def product_mask(qm, element_masks):
     """
     if len(element_masks) != len(qm.factors):
         raise ValueError("need one element mask per factor")
-    out = qm.full_mask
-    for em, slabs in zip(element_masks, qm.slabs()):
-        out &= _slab_union(slabs, em)
-    return out
+    return _product_images(qm, [(em,) for em in element_masks])[0]
 
 
 def _slab_union(slabs, element_mask):
@@ -496,28 +503,14 @@ class ClosedIso(FrozenRecord):
 def closed_lattice_iso(qm):
     """Build and verify the product isomorphism onto the closed lattice.
 
-    Each image is product_mask of its choice, taken as the AND of one slab
-    union per factor closed set, each union built once.
+    Each image is product_mask of its choice (_product_images). The images
+    are compared with closed_sets, the definition, not with the nodes of
+    closed_subquasimodules, which on a product are these same images.
     """
-    closed = closed_subquasimodules(qm)
-    factor_closed = []
-    for i in range(len(qm.factors)):
-        fqm = qm.factor_qm(i)
-        fcl = closed_subquasimodules(fqm)
-        factor_closed.append(tuple(factor_element_mask(fqm, m) for m in fcl.nodes))
-
-    unions = [[_slab_union(slabs, em) for em in ems]
-              for ems, slabs in zip(factor_closed, qm.slabs())]
-    full = qm.full_mask
-    assignments = []
-    images = set()
-    for choice, parts in zip(iproduct(*factor_closed), iproduct(*unions)):
-        image = full
-        for part in parts:
-            image &= part
-        assignments.append((choice, image))
-        images.add(image)
-
-    bijective = (len(images) == len(assignments) == len(closed)
-                 and images == set(closed.nodes))
-    return ClosedIso(qm, tuple(factor_closed), tuple(assignments), bijective)
+    closed_subquasimodules(qm)  # raises what building the closed lattice raises
+    factor_closed = tuple(ems for _, ems in _factor_lattices(qm))
+    images = _product_images(qm, factor_closed)
+    distinct = set(images)
+    bijective = len(distinct) == len(images) and distinct == closed_sets(qm)
+    return ClosedIso(qm, factor_closed, tuple(zip(iproduct(*factor_closed), images)),
+                     bijective)

@@ -40,7 +40,7 @@ class CanonicalQM:
     """
 
     __slots__ = ("lattice", "factors", "carrier", "index", "size", "zero",
-                 "_pperp", "_zeroless", "_perp_layers", "_orbits", "_irreducibles",
+                 "_pperp", "_seeded", "_perp_layers", "_orbits", "_irreducibles",
                  "_factor_qms", "_closed", "_slabs", "_moves", "_steps")
 
     def __init__(self, lattice, factors, carrier, index):
@@ -51,10 +51,10 @@ class CanonicalQM:
         self.size = len(carrier)
         self.zero = index[tuple([lattice.bottom] * len(factors))]
         # position -> singleton companion bitmask, filled by
-        # galois.principal_perp or seeded by galois.with_companions, which sets
-        # _zeroless when a seeded companion lacks the zero bit
+        # galois.principal_perp or seeded by galois.with_companions, which
+        # sets _seeded on the copy it makes
         self._pperp = {}
-        self._zeroless = False
+        self._seeded = False
         # per factor i, element x -> the vectors whose i-th coordinate meets
         # x in bottom; built by galois.principal_perp
         self._perp_layers = None

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import combinations, product as iproduct
+from itertools import combinations, combinations_with_replacement, product as iproduct
 from time import perf_counter
 
-from ..bitset import iter_bits, mask_of
+from ..bitset import iter_bits, mask_of, sort_masks
 from ..errors import EnumerationBudgetExceeded
 from ..galois import (
     closed_lattice_iso,
+    closed_sets,
     closed_subquasimodules,
     factor_carrier_mask,
     factor_element_mask,
@@ -205,15 +206,17 @@ class _Ctx:
         return sorted({*generators(self.m), *pairs}), note
 
     def pair_pool(self):
-        """(pairs, note) quantifying 'for all pairs of subsets' clauses: every
-        pair of generators at every size, which is exact on a meet of
-        singleton companions: perp is antitone, turns unions into meets and
-        makes dd monotone, and rem1.iv holds iff perp(0) is the carrier and
-        the singleton relation is symmetric, which the pairs (0, {q}) and
-        ({p}, {q}) decide. Beyond _PAIR_NOTE_BITS positions the note of the
-        former sampled pool stays, as frozen CLI stdout holds it."""
+        """(pairs, note) quantifying 'for all pairs of subsets' clauses: each
+        unordered pair of generators once, b from a onward, at every size.
+        That is exact on a meet of singleton companions: perp is antitone,
+        turns unions into meets and makes dd monotone, and rem1.iv holds iff
+        perp(0) is the carrier and the singleton relation is symmetric. It is
+        symmetric in a and b, as lem4.i and lem4.ii are, and rem1.ii tests
+        only (0, b) and (a, a), so the first failure is the ordered scan's.
+        Beyond _PAIR_NOTE_BITS positions the note of the former sampled pool
+        stays, as frozen CLI stdout holds it."""
         note = _PAIR_NOTE if self.m > _PAIR_NOTE_BITS else None
-        return iproduct(generators(self.m), repeat=2), note
+        return combinations_with_replacement(generators(self.m), 2), note
 
     # -- witness helpers ---------------------------------------------------------
 
@@ -426,9 +429,9 @@ def _hyp_guard(fn):
 def _c_th2_i(ctx):
     index = ctx.closed.index
     pool, note = ctx.subset_pool
-    # That every closed node is a companion needs no check: closed_sets is
-    # the intersection closure of singleton companions, and perp a meet of
-    # them.
+    # That every closed node is a companion needs no check: the nodes are the
+    # intersection closure of singleton companions (on a product, cor1 checks
+    # that they are the closed sets), and perp a meet of them.
     for a in pool:
         pa = ctx.perp[a]
         if pa not in index:
@@ -487,8 +490,8 @@ def _c_th2_iv(ctx):
 
 @_hyp_guard
 def _c_th2_v(ctx):
-    # closed_sets is an intersection closure, so meets need no check, and
-    # SubQMLattice raises unless {zero} and the carrier are nodes.
+    # The nodes are an intersection closure (cor1 checks a product's), so
+    # meets need no check; SubQMLattice raises unless {zero} and Q are nodes.
     index = ctx.closed.index
     nodes = ctx.closed.nodes
     for a in nodes:
@@ -574,18 +577,19 @@ def _c_lem1(ctx):
 
 @_hyp_guard
 def _c_th3(ctx):
+    # the closed sets by definition: a product's closed nodes rest on th3
     qm = ctx.qm
     iso = ctx.iso
     factor_closed = [set(f) for f in iso.factor_closed]
     k = len(qm.factors)
-    for mask in ctx.closed.nodes:
+    closed = closed_sets(qm)
+    for mask in sort_masks(closed, qm.size):
         parts = [qm.project(mask, i) for i in range(k)]
         if (any(em not in factor_closed[i] for i, em in enumerate(parts))
                 or product_mask(qm, parts) != mask):
             return FAIL, ctx.doc(node=ctx.labels(mask)), None
-    index = ctx.closed.index
     for choice, image in iso.assignments:
-        if image not in index:
+        if image not in closed:
             labels = [list(qm.lattice.labels(m)) for m in choice]
             return FAIL, ctx.doc(factor_choice=labels), None
     return PASS, None, None

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -26,7 +27,7 @@ from quasimodules import (
     sum_set,
 )
 from quasimodules import galois
-from quasimodules.bitset import iter_bits, mask_of, superset_masks
+from quasimodules.bitset import iter_bits, mask_of, sort_masks, superset_masks
 from quasimodules.errors import (
     CompanionNotClosed,
     CompanionOverlap,
@@ -379,13 +380,18 @@ def test_closed_lattice_is_built_once(ex1_qm, monkeypatch):
     monkeypatch.setattr(galois, "closed_subquasimodules", spy)
     assert closed_lattice_iso(qm).is_isomorphism
     assert returned[0] is closed
-    # the second product map rebuilds nothing, the factors' lattices included
-    monkeypatch.setattr(galois, "closed_sets", lambda q: pytest.fail("rebuilt"))
+    # the second product map builds no closed lattice, the factors' included;
+    # it takes the closed sets of qm alone, to compare the images with
+    monkeypatch.setattr(galois, "ClosedLattice", lambda *a: pytest.fail("rebuilt"))
+    defined = []
+    monkeypatch.setattr(galois, "closed_sets",
+                        lambda q: defined.append(q) or closed_sets(q))
     first = returned[:]
     returned.clear()
     assert closed_lattice_iso(qm).is_isomorphism
     assert len(returned) == 3
     assert all(a is b for a, b in zip(returned, first))
+    assert defined == [qm]
 
 
 def test_not_zero_distributive_is_not_cached(m3_qm):
@@ -663,43 +669,78 @@ def closed_lattice_contexts():
         yield spec, read_qm_file(os.path.join(SPECS, spec))
 
 
-def all_axis_perp_map(qm, node_masks):
-    """The ClosedLattice construction before join-irreducible generators,
-    kept as the oracle: the parts taken from every distinct axis companion."""
-    nodes = SubQMLattice(qm, node_masks, join_closure=None, kind="closed")
-    generators = tuple(galois._axis_companions(qm))
-    nonzero = qm.full_mask ^ 1 << qm.zero
-    done, out = {}, []
-    for mask in nodes.nodes:
-        companion, rest = qm.full_mask, mask
-        for g in generators:
-            part = done.get(mask & g)
-            if part is not None:
-                companion &= part
-                rest &= ~g
-        companion &= perp(qm, rest)
-        if not companion & nonzero:
-            companion = perp(qm, mask)
-        if companion not in nodes.index:
-            raise CompanionNotClosed(
-                f"companion of closed set {qm.label_sets(mask)} is not closed")
-        done[mask] = companion
-        out.append(nodes.index[companion])
-    return tuple(out)
+def definition_lattice(qm):
+    """The oracle: every closed set in node order and one perp per node."""
+    nodes = closed_sets(qm)
+    return tuple(sort_masks(nodes, qm.size)), old_perp_map(qm, nodes)
 
 
 def test_perp_map_matches_the_per_node_walk():
+    # both paths, the product one on unseeded products and the definition on
+    # one-factor and seeded contexts; NotZeroDistributive and
+    # FactorizationFailed come before any map and are tested elsewhere
     outcomes, cases = set(), 0
     for label, qm in closed_lattice_contexts():
-        nodes = closed_sets(qm)
-        want = result_or_error(old_perp_map, qm, nodes)
-        got = result_or_error(lambda: ClosedLattice(qm, nodes).perp_map)
-        assert got == want, label
-        assert result_or_error(all_axis_perp_map, qm, nodes) == want, label
+        got = result_or_error(lambda: closed_subquasimodules(qm))
+        if isinstance(got, ClosedLattice):
+            got = got.nodes, got.perp_map
+        elif got[0] in (NotZeroDistributive, FactorizationFailed):
+            continue
+        assert got == result_or_error(definition_lattice, qm), label
         outcomes.add(got[0] if isinstance(got[0], type) else "map")
         cases += 1
-    assert cases == 284
+    assert cases == 157
     assert {"map", CompanionNotClosed} <= outcomes
+
+
+def product_contexts():
+    """The unseeded contexts with two or more 0-distributive factors, then
+    N5^3 (125 vectors) and chain_6 x chain_7 (42 vectors, factors of unequal
+    size)."""
+    for label, qm in closed_lattice_contexts():
+        if (len(qm.factors) > 1 and not qm._seeded
+                and galois.zero_distributivity_defect(qm) is None):
+            yield label, qm
+    yield "n5^3", qm_from("n5", ["*"] * 3)
+    yield "chain_6 x chain_7", qm_from("chain_7", ["5", "6"])
+
+
+def test_product_lattice_matches_the_definition():
+    # th3, cor1 and lem1 build the closed lattice of a product from the
+    # factors'; the definition builds it from the companions of the product
+    cases = 0
+    for label, qm in product_contexts():
+        closed = closed_subquasimodules(qm)
+        assert (closed.nodes, closed.perp_map) == definition_lattice(qm), label
+        cases += 1
+    assert cases == 60
+
+
+@pytest.mark.parametrize("spec, planted", [("ex1", 0), ("bool3.sq-x-ab", 1)])
+def test_product_involution_reads_each_factor_involution(spec, planted):
+    # every factor involution met so far reverses its node order, and then
+    # numbering the choices with any factor fastest gives the same map; a
+    # planted factor lattice whose involution is the identity tells them apart
+    qm = read_qm_file(os.path.join(SPECS, spec + ".qm"))
+    fqm = qm.factor_qm(planted)
+    fqm._closed = ClosedLattice(fqm, closed_sets(fqm), lambda mask: mask)
+    lattices = [closed_subquasimodules(qm.factor_qm(i)) for i in range(len(qm.factors))]
+    ems = [[galois.factor_element_mask(qm.factor_qm(i), m) for m in fcl.nodes]
+           for i, fcl in enumerate(lattices)]
+    closed = closed_subquasimodules(qm)
+    for choice in itertools.product(*(range(len(fcl)) for fcl in lattices)):
+        image = product_mask(qm, [e[k] for e, k in zip(ems, choice)])
+        partner = product_mask(qm, [e[fcl.perp_map[k]]
+                                    for e, fcl, k in zip(ems, lattices, choice)])
+        assert closed.perp_map[closed.index[image]] == closed.index[partner], choice
+
+
+def test_seeded_and_one_factor_quasimodules_take_the_definition(ex1_qm, monkeypatch):
+    # the product path reads the factors' lattices; these never do
+    monkeypatch.setattr(galois, "_product_lattice", lambda qm: pytest.fail("product"))
+    for qm in (with_companions(ex1_qm, {}), ex1_qm.factor_qm(0), qm_from("fig5", ["*"])):
+        closed = closed_subquasimodules(qm)
+        assert (closed.nodes, closed.perp_map) == definition_lattice(qm)
 
 
 def old_is_splitting(qm, mask):
@@ -781,34 +822,6 @@ def test_join_irreducibles_match_the_definition():
     assert len(contexts) == 61 + 6
     for label, qm in contexts:
         assert galois.join_irreducibles(qm) == generic_join_irreducibles(qm), label
-
-
-def rests(qm, nodes, generators):
-    """Per closed node N, the members of N outside its proper meets with the
-    generators: what ClosedLattice passes to perp."""
-    out = []
-    for mask in nodes:
-        rest = mask
-        for g in generators:
-            if mask & g != mask:
-                rest &= ~g
-        out.append(rest)
-    return out
-
-
-@pytest.mark.parametrize("spec", ["bool3.cube", "bool3.sq-x-ab", "n5.pow4", "ex1", "n5.sq"])
-def test_join_irreducible_generators_keep_every_rest(spec):
-    # under the orthogonality relation with 0-distributive factors, the
-    # join-irreducible generators give the same parts as all axis companions
-    qm = read_qm_file(os.path.join(SPECS, spec + ".qm"))
-    closed = closed_subquasimodules(qm)
-    axis = tuple(galois._axis_companions(qm))
-    irreducible = {principal_perp(qm, p) for p in iter_bits(galois.join_irreducibles(qm))}
-    assert irreducible < set(axis)
-    got = rests(qm, closed.nodes, irreducible)
-    assert got == rests(qm, closed.nodes, axis)
-    # and each vector lies in one rest only
-    assert sum(r.bit_count() for r in got) == qm.size
 
 
 @pytest.mark.parametrize("spec", ["bool3.cube", "bool3.sq-x-ab", "n5.pow4"])

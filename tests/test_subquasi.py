@@ -479,8 +479,9 @@ def test_is_subquasimodule_matches_ordered_scan_on_every_mask(qm):
 
 
 def test_closed_lattice_decides_axis_companions_on_the_factors(monkeypatch):
-    """Every axis companion is a product, so closed_subquasimodules never
-    falls back to the subset-image scan."""
+    """A product's closed lattice checks only its factors' axis companions,
+    each a product, so closed_subquasimodules never falls back to the
+    subset-image scan."""
     qm = read_qm_file(os.path.join(SPECS, "bool3.cube.qm"))
     calls = {"is_subquasimodule": 0, "image": 0}
     inside = []
@@ -501,7 +502,8 @@ def test_closed_lattice_decides_axis_companions_on_the_factors(monkeypatch):
     monkeypatch.setattr(CanonicalQM, "image", counting_image)
     monkeypatch.setattr(galois, "is_subquasimodule", counting_is_subquasimodule)
     assert len(closed_subquasimodules(qm)) == 512
-    assert calls == {"is_subquasimodule": len(galois._axis_companions(qm)), "image": 0}
+    checked = sum(len(galois._axis_companions(qm.factor_qm(i))) for i in range(3))
+    assert calls == {"is_subquasimodule": checked, "image": 0}
 
 
 # -- close_mask against the per-element worklist ----------------------------------

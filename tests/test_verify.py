@@ -844,6 +844,29 @@ def test_th3_catches_a_product_that_is_no_closed_node():
         old_th3(old)
 
 
+@pytest.mark.parametrize("fault, failing", [
+    ("companions-zero", {"th2.iv"}),
+    ("pair-dropped", {"th2.i", "th2.ii", "th3", "cor1"}),
+], ids=["companions-zero", "pair-dropped"])
+def test_a_wrong_product_lattice_fails_the_product_clauses(fault, failing):
+    # ex1's closed lattice is built from its factors'; a fault planted in the
+    # N5 factor's lattice first is carried into the product: every proper
+    # node's companion taken as {zero}, or the pair {0, b}, {0, a, c} of
+    # closed sets dropped
+    qm = qm_from("n5", ["*", "a"])
+    fqm = qm.factor_qm(0)
+    nodes, zero = galois.closed_sets(fqm), 1 << fqm.zero
+    if fault == "companions-zero":
+        fqm._closed = galois.ClosedLattice(
+            fqm, nodes, lambda mask: fqm.full_mask if mask == zero else zero)
+    else:
+        pair = galois.perp(fqm, 1 << fqm.vector("a"))
+        pair = {pair, galois.perp(fqm, pair)}
+        fqm._closed = galois.ClosedLattice(fqm, nodes - pair,
+                                           lambda mask: galois.perp(fqm, mask))
+    assert {r.clause for r in check_all(qm) if r.status == FAIL} == failing
+
+
 # -- the generator pairs against the former sampled pair pool ----------------
 
 def old_pair_pool(ctx):
@@ -871,12 +894,13 @@ PAIR_POOL_INSTANCES = {"ex1": ("n5", ["*", "a"]), "chain4sq": ("chain_4", ["*", 
 
 @pytest.mark.parametrize("name", list(PAIR_POOL_INSTANCES))
 def test_pair_pool_is_the_generator_pairs(name):
-    # the (m + 1)^2 pairs of the empty set and the singletons, in product
-    # order, at every size; beyond 10 vectors the former note stays
+    # the (m + 1)(m + 2)/2 unordered pairs of the empty set and the
+    # singletons, each once with b from a onward, in product order, at every
+    # size; beyond 10 vectors the former note stays
     ctx = laws._Ctx(qm_from(*PAIR_POOL_INSTANCES[name]), Budgets(), name)
     pairs, note = ctx.pair_pool()
     gens = [0] + [1 << p for p in range(ctx.m)]
-    assert list(pairs) == [(a, b) for a in gens for b in gens]
+    assert list(pairs) == [(a, b) for i, a in enumerate(gens) for b in gens[i:]]
     if ctx.m <= 10:
         assert note is None
     else:
@@ -1007,10 +1031,12 @@ def test_generator_pairs_keep_sampled_pair_failures(name):
                 assert violates(clause, qm, tab, set(), witness), (clause, poison)
         # only {zero}* without zero leaves the relation symmetric
         assert bool(fails) == (poison != (zero, zero)), poison
-        # the pool holds every generator pair on which a pair clause fails
+        # the pool holds every generator pair on which a pair clause fails,
+        # as (a, b) or, for the clauses symmetric in a and b, as (b, a)
         pool = set(new.pair_pool()[0])
-        assert all((a, b) in pool for a in generators for b in generators
-                   for scan in SCANS.values() if not scan(tab, [(a, b)])), poison
+        assert all((a, b) in pool or (clause != "rem1.ii" and (b, a) in pool)
+                   for a in generators for b in generators
+                   for clause, scan in SCANS.items() if not scan(tab, [(a, b)])), poison
 
 
 # -- check_homomorphism without its redundant loops -----------------------------
