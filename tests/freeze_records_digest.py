@@ -14,7 +14,6 @@ bundled specs of at most 64 vectors, the 214 `poisoned()` contexts and the
 import hashlib
 import json
 import os
-import sys
 
 from quasimodules import canonical, read_qm_file
 from quasimodules.errors import Error
@@ -22,9 +21,7 @@ from quasimodules.verify import SearchConfig
 from quasimodules.verify.laws import check_all, check_homomorphism, factor_descriptor
 from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from conftest import SPECS, SUBSET_INSTANCES, poisoned  # noqa: E402
+from conftest import SPECS, SUBSET_INSTANCES, poisoned
 
 DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "records_digest.json")
