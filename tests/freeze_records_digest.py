@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Write tests/records_digest.json, the frozen law-suite outcome of 281
-contexts that tests/test_records_digest.py compares against.
+"""Write tests/records_digest.json and tests/envelope_digest.json, the
+frozen law-suite outcomes that tests/test_records_digest.py compares against.
 
 Run from a checkout whose records are known to be right:
-``PYTHONPATH=src python3 tests/freeze_records_digest.py``. Per context the
+``PYTHONPATH=src python3 tests/freeze_records_digest.py``. Per context a
 file holds the SHA-256 of the `check_all` records without `seconds`, with
 `check_homomorphism`'s record, or the error it raises; where `check_all`
-raises, it holds the error type and message instead. The contexts are the
-bundled specs of at most 64 vectors, the 214 `poisoned()` contexts and the
-61 lattices up to 5 elements with each factor tuple the search tries.
+raises, it holds the error type and message instead. records_digest.json
+covers 281 contexts: the bundled specs of at most 64 vectors, the 214
+`poisoned()` contexts and the 61 lattices up to 5 elements with each factor
+tuple the search tries. envelope_digest.json covers the four envelope
+instances of 27 to 125 vectors and 3 * 10^4 to 8 * 10^4 subquasimodules,
+without `check_homomorphism`, whose node-pair scan is quadratic in those.
 """
 
 import hashlib
@@ -21,10 +24,16 @@ from quasimodules.verify import SearchConfig
 from quasimodules.verify.laws import check_all, check_homomorphism, factor_descriptor
 from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 
-from conftest import SPECS, SUBSET_INSTANCES, poisoned
+from conftest import SPECS, SUBSET_INSTANCES, poisoned, qm_from
 
-DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "records_digest.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+DIGEST_FILE = os.path.join(HERE, "records_digest.json")
+ENVELOPE_FILE = os.path.join(HERE, "envelope_digest.json")
+
+# label -> qm_from arguments: chain_3^3 (27 vectors), chain_6^2 (36),
+# N5^3 (125) and chain_6 x chain_7 (42)
+ENVELOPE = {"chain_3^3": ("chain_3", ["*"] * 3), "chain_6^2": ("chain_6", ["*"] * 2),
+            "n5^3": ("n5", ["*"] * 3), "chain_6 x chain_7": ("chain_7", ["5", "6"])}
 
 
 def digest_contexts():
@@ -49,16 +58,17 @@ def _fields(report):
     return [report.clause, report.status, report.instance, report.witness, report.note]
 
 
-def outcome(label, qm):
+def outcome(label, qm, homomorphism=True):
     """The SHA-256 of the records of one context, or 'Type: message'."""
     try:
         records = [_fields(r) for r in check_all(qm, instance=label)]
     except Error as exc:
         return f"{type(exc).__name__}: {exc}"
-    try:
-        records.append(_fields(check_homomorphism(qm, instance=label)))
-    except Error as exc:
-        records.append(["homomorphism", type(exc).__name__, str(exc)])
+    if homomorphism:
+        try:
+            records.append(_fields(check_homomorphism(qm, instance=label)))
+        except Error as exc:
+            records.append(["homomorphism", type(exc).__name__, str(exc)])
     text = json.dumps(records, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -67,13 +77,19 @@ def record_digests():
     return {label: outcome(label, qm) for label, qm in digest_contexts()}
 
 
+def envelope_digests():
+    return {label: outcome(label, qm_from(*spec), homomorphism=False)
+            for label, spec in ENVELOPE.items()}
+
+
 def main():
-    digests = record_digests()
-    with open(DIGEST_FILE, "w") as fh:
-        json.dump(digests, fh, indent=1)
-        fh.write("\n")
-    raised = sum(": " in v for v in digests.values())
-    print(f"{len(digests)} contexts, {raised} raise; wrote {DIGEST_FILE}")
+    for path, digests in ((DIGEST_FILE, record_digests()),
+                          (ENVELOPE_FILE, envelope_digests())):
+        with open(path, "w") as fh:
+            json.dump(digests, fh, indent=1)
+            fh.write("\n")
+        raised = sum(": " in v for v in digests.values())
+        print(f"{len(digests)} contexts, {raised} raise; wrote {path}")
 
 
 if __name__ == "__main__":
