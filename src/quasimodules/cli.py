@@ -167,12 +167,13 @@ def _cmd_qm(args):
     action = args.action
 
     if action == "verify":
-        from .verify.laws import FAIL, Budgets, check_all, check_homomorphism
+        from .verify.laws import FAIL, Budgets, _Ctx, check_all, check_homomorphism
 
-        budgets = Budgets(max_nodes=args.budget)
-        reports = check_all(qm, budgets, instance=args.file)
+        # one context, so the subquasimodules are enumerated once for both
+        ctx = _Ctx(qm, Budgets(max_nodes=args.budget), args.file)
+        reports = check_all(qm, ctx=ctx)
         try:
-            reports.append(check_homomorphism(qm, budgets, instance=args.file))
+            reports.append(check_homomorphism(qm, ctx=ctx))
         except NotZeroDistributive as exc:
             print(f"# homomorphism skipped: {exc}")
         _print_reports(reports, args.format)

@@ -209,10 +209,14 @@ def factor_zero_distributivity(qm):
     """Per-factor 0-distributivity of the factor sublattices.
 
     Returns a list of (factor index, holds, witness) where the witness is a
-    triple of element indices inside the factor.
+    triple of element indices inside the factor. The verdict depends on the
+    member mask alone, so each distinct factor ideal is decided once.
     """
-    return [(i, *is_0_distributive(qm.lattice, f.members))
-            for i, f in enumerate(qm.factors)]
+    verdicts = {}
+    for f in qm.factors:
+        if f.members not in verdicts:
+            verdicts[f.members] = is_0_distributive(qm.lattice, f.members)
+    return [(i, *verdicts[f.members]) for i, f in enumerate(qm.factors)]
 
 
 def zero_distributivity_defect(qm):
@@ -334,13 +338,14 @@ def _product_lattice(qm):
 
 def _factor_lattices(qm):
     """Per factor i, the closed lattice of qm.factor_qm(i) and its nodes as
-    element masks."""
-    out = []
-    for i in range(len(qm.factors)):
-        fqm = qm.factor_qm(i)
-        fcl = closed_subquasimodules(fqm)
-        out.append((fcl, tuple(factor_element_mask(fqm, m) for m in fcl.nodes)))
-    return out
+    element masks; equal factors share one factor quasimodule, so each
+    distinct one is read once."""
+    read = {}
+    for fqm in map(qm.factor_qm, range(len(qm.factors))):
+        if fqm not in read:
+            fcl = closed_subquasimodules(fqm)
+            read[fqm] = (fcl, tuple(factor_element_mask(fqm, m) for m in fcl.nodes))
+    return [read[qm.factor_qm(i)] for i in range(len(qm.factors))]
 
 
 def _product_images(qm, factor_closed):

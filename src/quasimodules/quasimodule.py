@@ -62,6 +62,7 @@ class CanonicalQM:
         self._orbits = None
         # bitmask of the join-irreducible vectors, built by galois.join_irreducibles
         self._irreducibles = None
+        # factor member mask -> one-factor quasimodule, filled by factor_qm
         self._factor_qms = {}
         # the ClosedLattice, set by closed_subquasimodules once its checks pass
         self._closed = None
@@ -188,13 +189,27 @@ class CanonicalQM:
     def slabs(self):
         """Per factor i, the slab rows (e, slab) over its members in index
         order, slab the carrier bitmask of the vectors whose i-th coordinate
-        is e; built once."""
+        is e; built once, from the factor sizes alone.
+
+        Positions are row-major over the factor member lists, so the i-th
+        coordinate of position p is the member number (p // stride_i) mod
+        |F_i|, stride_i the product of the later factor sizes. The slab of
+        the k-th member is therefore a block of stride_i ones, repeated every
+        period_i = stride_i |F_i| bits and shifted left by k stride_i. The
+        repetition is one multiplication by the repunit of the period, the
+        carrier mask divided by 2^period_i - 1 (period_i divides the carrier
+        size): O(sum |F_i|) big-int operations and no walk over the vectors.
+        """
         if self._slabs is None:
-            masks = [{} for _ in self.factors]
-            for p, u in enumerate(self.carrier):
-                for k, a in enumerate(u):
-                    masks[k][a] = masks[k].get(a, 0) | 1 << p
-            self._slabs = tuple(tuple(sorted(m.items())) for m in masks)
+            full = self.full_mask
+            period, rows = self.size, []
+            for f in self.factors:
+                members = list(iter_bits(f.members))
+                stride = period // len(members)
+                block = ((1 << stride) - 1) * (full // ((1 << period) - 1))
+                rows.append(tuple((e, block << k * stride) for k, e in enumerate(members)))
+                period = stride
+            self._slabs = tuple(rows)
         return self._slabs
 
     def image(self, mask, p):
@@ -251,13 +266,18 @@ class CanonicalQM:
         return [(slab, shift) for shift, slab in by_shift.items()]
 
     def factor_qm(self, i):
-        """The one-factor canonical quasimodule on factor i (same scalars)."""
+        """The one-factor canonical quasimodule on factor i (same scalars).
+
+        Kept by member mask, so factors that are the same ideal share one
+        factor quasimodule, and with it its closed lattice, companions and
+        slabs. A copy made by galois.with_companions starts with none.
+        """
         if not 0 <= i < len(self.factors):
             raise IndexOutOfRange(f"factor index out of range: {i}")
-        qm = self._factor_qms.get(i)
+        factor = self.factors[i]
+        qm = self._factor_qms.get(factor.members)
         if qm is None:
-            qm = canonical(self.lattice, (self.factors[i],))
-            self._factor_qms[i] = qm
+            qm = self._factor_qms[factor.members] = canonical(self.lattice, (factor,))
         return qm
 
     def __repr__(self):

@@ -100,10 +100,16 @@ class Budgets(FrozenRecord):
 # shared per-instance context
 
 class _Ctx:
-    def __init__(self, qm, budgets, instance):
+    """What the clauses of one instance share: the budgets, the companion,
+    closure and subquasimodule caches, and the subquasimodule lattice,
+    enumerated on first use. One context can serve check_all and then
+    check_homomorphism (`qm verify`), so the enumeration, or its run to the
+    node budget, happens once; it lives as long as the caller keeps it."""
+
+    def __init__(self, qm, budgets=None, instance=None):
         self.qm = qm
-        self.b = budgets
-        self.instance = instance
+        self.b = budgets or Budgets()
+        self.instance = instance or repr(qm)
         self.m = qm.size
         self.full = qm.full_mask
         self.zmask = 1 << qm.zero
@@ -142,16 +148,20 @@ class _Ctx:
         """Per factor: element subsets to quantify product clauses over.
 
         All subquasimodules of the factor, plus a few seeded arbitrary
-        subsets so the 'only if' directions get exercised.
+        subsets so the 'only if' directions get exercised. Equal factors
+        share one factor quasimodule, enumerated once; the seeded subsets
+        are drawn per factor.
         """
         rng = random.Random(self.b.seed + 1)
+        subs = {}
         pools = []
-        for i in range(len(self.qm.factors)):
+        for i, factor in enumerate(self.qm.factors):
             fqm = self.qm.factor_qm(i)
-            subs_i = all_subquasimodules(fqm)
-            pool = {factor_element_mask(fqm, m) for m in subs_i.nodes}
-            fm = self.qm.factors[i].members
-            fbits = list(iter_bits(fm))
+            if fqm not in subs:
+                subs[fqm] = {factor_element_mask(fqm, m)
+                             for m in all_subquasimodules(fqm).nodes}
+            pool = set(subs[fqm])
+            fbits = list(iter_bits(factor.members))
             for _ in range(8):
                 sample = mask_of(e for e in fbits if rng.random() < 0.5)
                 if sample:
@@ -734,11 +744,22 @@ _CLAUSES = (
 CLAUSE_IDS = tuple(name for name, _ in _CLAUSES)
 
 
-def check_all(qm, budgets=None, instance=None):
-    """Run every registered law clause against one canonical quasimodule."""
-    budgets = budgets or Budgets()
-    instance = instance or repr(qm)
-    ctx = _Ctx(qm, budgets, instance)
+def _context(qm, budgets, instance, ctx):
+    if ctx is None:
+        return _Ctx(qm, budgets, instance)
+    if ctx.qm is not qm:
+        raise ValueError("the context belongs to another quasimodule")
+    return ctx
+
+
+def check_all(qm, budgets=None, instance=None, ctx=None):
+    """Run every registered law clause against one canonical quasimodule.
+
+    `ctx`, a context on qm (then budgets and instance are its own), is
+    reused and keeps what the clauses computed, for check_homomorphism.
+    """
+    ctx = _context(qm, budgets, instance, ctx)
+    instance = ctx.instance
     reports = []
     for clause, fn in _CLAUSES:
         start = perf_counter()
@@ -751,7 +772,7 @@ def check_all(qm, budgets=None, instance=None):
     return reports
 
 
-def check_homomorphism(qm, budgets=None, instance=None):
+def check_homomorphism(qm, budgets=None, instance=None, ctx=None):
     """Conditional homomorphism law for the double-companion map.
 
     If the double companion distributes over intersections of subquasimodule
@@ -759,11 +780,11 @@ def check_homomorphism(qm, budgets=None, instance=None):
     onto the closed one. The intersection hypothesis is tested over all node
     pairs; when it fails, the report carries the witness pair and claims
     nothing further. The conclusion is tested on all node pairs, on the
-    bounds and on seeded families of joins.
+    bounds and on seeded families of joins. `ctx` is as for check_all; the
+    one check_all used brings its subquasimodule lattice, or budget note.
     """
-    budgets = budgets or Budgets()
-    instance = instance or repr(qm)
-    ctx = _Ctx(qm, budgets, instance)
+    ctx = _context(qm, budgets, instance, ctx)
+    instance = ctx.instance
     start = perf_counter()
     if ctx.zd_defect is not None:
         raise ctx.zd_defect
@@ -800,7 +821,7 @@ def check_homomorphism(qm, budgets=None, instance=None):
         return finish(FAIL, ctx.doc(), note)
     # The join law for families follows from its pair form only when dd is a
     # closure operator, which a broken companion map need not give.
-    rng = random.Random(budgets.seed + 7)
+    rng = random.Random(ctx.b.seed + 7)
     for fam in _families(rng, nodes, _FAMILY_SAMPLES):
         joined = ctx.dd_of(_union(ctx.dd_of(x) for x in fam))
         if ctx.dd_of(ctx.close_of(_union(fam))) != joined:

@@ -282,6 +282,28 @@ def test_qm_verify_honours_budget(capsys):
                     "homomorphism"]
 
 
+@pytest.mark.parametrize("budget", ["200000", "5"])
+def test_qm_verify_enumerates_the_product_once(budget, capsys, monkeypatch):
+    # check_all and check_homomorphism share one context, so the product is
+    # enumerated once, or run to the node budget once
+    from quasimodules.verify import laws
+
+    calls = []
+    enumerate_all = laws.all_subquasimodules
+
+    def counting(qm, **kwargs):
+        if len(qm.factors) > 1:
+            calls.append(qm)
+        return enumerate_all(qm, **kwargs)
+
+    monkeypatch.setattr(laws, "all_subquasimodules", counting)
+    spec = os.path.join(ROOT, "perfbench", "specs", "ex1.qm")
+    code, out = run(capsys, "qm", "verify", spec, "--budget", budget)
+    assert code == 0
+    assert len(calls) == 1
+    assert ("budget-exceeded" in out) == (budget == "5")
+
+
 def test_mutually_exclusive_verify_modes(capsys):
     code = main(["verify", "--instance", "m3", "--search"])
     assert code == 2

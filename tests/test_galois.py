@@ -716,11 +716,14 @@ def test_product_lattice_matches_the_definition():
     assert cases == 60
 
 
-@pytest.mark.parametrize("spec, planted", [("ex1", 0), ("bool3.sq-x-ab", 1)])
+@pytest.mark.parametrize("spec, planted", [("ex1", 0), ("bool3.sq-x-ab", 1),
+                                           ("bool3.sq-x-ab", 2)])
 def test_product_involution_reads_each_factor_involution(spec, planted):
     # every factor involution met so far reverses its node order, and then
     # numbering the choices with any factor fastest gives the same map; a
-    # planted factor lattice whose involution is the identity tells them apart
+    # planted factor lattice whose involution is the identity tells them apart.
+    # Equal factors share the planted lattice: on bool3.sq-x-ab (abc, abc, ab)
+    # factor 1 plants on factors 0 and 1 at once, factor 2 on ab alone
     qm = read_qm_file(os.path.join(SPECS, spec + ".qm"))
     fqm = qm.factor_qm(planted)
     fqm._closed = ClosedLattice(fqm, closed_sets(fqm), lambda mask: mask)
@@ -733,6 +736,27 @@ def test_product_involution_reads_each_factor_involution(spec, planted):
         partner = product_mask(qm, [e[fcl.perp_map[k]]
                                     for e, fcl, k in zip(ems, lattices, choice)])
         assert closed.perp_map[closed.index[image]] == closed.index[partner], choice
+
+
+def test_a_seeded_copy_shares_nothing_with_the_original():
+    # bool3.sq-x-ab: two equal factors share one factor quasimodule; the copy
+    # builds its own, with its own closed lattices and caches
+    qm = read_qm_file(os.path.join(SPECS, "bool3.sq-x-ab.qm"))
+    closed_subquasimodules(qm)
+    copy = with_companions(qm, {})
+    closed_subquasimodules(copy)
+    k = len(qm.factors)
+    mine = {id(qm.factor_qm(i)) for i in range(k)}
+    assert len(mine) == 2
+    for i in range(k):
+        fqm = copy.factor_qm(i)
+        assert id(fqm) not in mine
+        assert closed_subquasimodules(fqm) is not closed_subquasimodules(qm.factor_qm(i))
+    assert copy._closed is not qm._closed
+    # the carrier and its index are shared, read only; no cache is
+    for name in type(qm).__slots__:
+        if name.startswith("_") and isinstance(getattr(qm, name), dict):
+            assert getattr(copy, name) is not getattr(qm, name), name
 
 
 def test_seeded_and_one_factor_quasimodules_take_the_definition(ex1_qm, monkeypatch):

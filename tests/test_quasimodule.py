@@ -15,6 +15,8 @@ from quasimodules import (
     verify_axioms,
 )
 from quasimodules.bitset import iter_bits
+from quasimodules.verify import SearchConfig
+from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 from quasimodules.errors import (
     CarrierTooLarge,
     FactorNotIdeal,
@@ -227,3 +229,53 @@ def test_scalar_orbits_match_smul():
                 want |= 1 << qm.smul(c, p)
             assert orbits[p] == want, (qm, p)
         assert qm.scalar_orbits() is orbits
+
+
+# -- strided slabs and shared factor quasimodules ------------------------------
+
+def walk_slabs(qm):
+    """The former slabs(), kept as the oracle: one walk over every vector
+    and coordinate."""
+    masks = [{} for _ in qm.factors]
+    for p, u in enumerate(qm.carrier):
+        for k, a in enumerate(u):
+            masks[k][a] = masks[k].get(a, 0) | 1 << p
+    return tuple(tuple(sorted(m.items())) for m in masks)
+
+
+def product_instances():
+    """(label, qm): the bundled specs, every lattice up to 5 elements with
+    each factor tuple the search tries, and two products of three and four
+    factors of unequal sizes."""
+    for spec in sorted(os.listdir(SPECS)):
+        yield spec, read_qm_file(os.path.join(SPECS, spec))
+    cfg = SearchConfig(max_lattice_size=5)
+    for n in range(1, 6):
+        for k, lat in enumerate(_exhaustive_lattices(n)):
+            for factors in _factor_variants(lat, cfg):
+                yield f"lattice {n}.{k} {[f.members for f in factors]}", canonical(lat, factors)
+    # sizes 5, 3, 2 and 7, 3, 4, 2
+    yield "n5 x [0,c] x [0,a]", qm_from("n5", ["*", "c", "a"])
+    yield "chain_7 x [0,2] x [0,3] x [0,1]", qm_from("chain_7", ["6", "2", "3", "1"])
+
+
+def test_strided_slabs_match_the_per_vector_walk():
+    cases = 0
+    for label, qm in product_instances():
+        assert qm.slabs() == walk_slabs(qm), label
+        cases += 1
+    assert cases == 9 + 61 + 2
+
+
+def test_equal_factors_share_one_factor_quasimodule():
+    shared = distinct = 0
+    for label, qm in product_instances():
+        k = len(qm.factors)
+        for i in range(k):
+            for j in range(i + 1, k):
+                same = qm.factors[i].members == qm.factors[j].members
+                assert (qm.factor_qm(i) is qm.factor_qm(j)) == same, (label, i, j)
+                shared += same
+                distinct += not same
+    # bool3.cube, n5.pow4 and the squares among them; ex1 and the mixed ones
+    assert shared and distinct

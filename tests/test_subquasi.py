@@ -481,7 +481,9 @@ def test_is_subquasimodule_matches_ordered_scan_on_every_mask(qm):
 def test_closed_lattice_decides_axis_companions_on_the_factors(monkeypatch):
     """A product's closed lattice checks only its factors' axis companions,
     each a product, so closed_subquasimodules never falls back to the
-    subset-image scan."""
+    subset-image scan. The three factors of bool3.cube are one ideal, so
+    they share one factor quasimodule and its 8 axis companions are checked
+    once."""
     qm = read_qm_file(os.path.join(SPECS, "bool3.cube.qm"))
     calls = {"is_subquasimodule": 0, "image": 0}
     inside = []
@@ -502,8 +504,10 @@ def test_closed_lattice_decides_axis_companions_on_the_factors(monkeypatch):
     monkeypatch.setattr(CanonicalQM, "image", counting_image)
     monkeypatch.setattr(galois, "is_subquasimodule", counting_is_subquasimodule)
     assert len(closed_subquasimodules(qm)) == 512
-    checked = sum(len(galois._axis_companions(qm.factor_qm(i))) for i in range(3))
-    assert calls == {"is_subquasimodule": checked, "image": 0}
+    fqm = qm.factor_qm(0)
+    assert qm.factor_qm(1) is fqm and qm.factor_qm(2) is fqm
+    assert len(galois._axis_companions(fqm)) == 8
+    assert calls == {"is_subquasimodule": 8, "image": 0}
 
 
 # -- close_mask against the per-element worklist ----------------------------------
