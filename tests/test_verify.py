@@ -68,6 +68,13 @@ def test_zero_distributivity_tested_once_per_context(m3_qm, monkeypatch):
     assert str(err.value) in notes and err.value.factor == 0
 
 
+def test_a_context_serves_only_its_own_quasimodule(ex1_qm, m3_qm):
+    ctx = laws._Ctx(ex1_qm)
+    for check in (check_all, check_homomorphism):
+        with pytest.raises(ValueError):
+            check(m3_qm, ctx=ctx)
+
+
 def test_check_all_leaves_no_reference_cycles(ex1_qm):
     # a cycle through the context would hold its companion cache until
     # the cycle collector runs, which raises the peak memory of a search
