@@ -96,23 +96,17 @@ def join_irreducibles(qm):
     bottom is the sum of its projections onto them, both strictly below it.
     Below an axis vector (e at coordinate i, bottom elsewhere) lie the axis
     vectors of the elements under e, all in the factor as it is an ideal. So
-    J is the axis vectors whose element e is join-irreducible in L: not
-    bottom, and not the join of the elements strictly below it (e has a
-    single lower cover).
+    J is the axis vectors (CanonicalQM.axis) whose element e is
+    join-irreducible in L: not the join (Lattice.join_of) of the elements
+    strictly below it, a join that for bottom is bottom itself.
     """
     if qm._irreducibles is None:
-        join, down, bottom = qm.lattice.join, qm.lattice.down, qm.lattice.bottom
-        base = [bottom] * len(qm.factors)
+        lattice = qm.lattice
         out = 0
         for i, factor in enumerate(qm.factors):
             for e in iter_bits(factor.members):
-                below = bottom
-                for x in iter_bits(down[e] ^ 1 << e):
-                    below = join[below][x]
-                if below != e:
-                    coords = base.copy()
-                    coords[i] = e
-                    out |= 1 << qm.index[tuple(coords)]
+                if lattice.join_of(lattice.down[e] ^ 1 << e) != e:
+                    out |= 1 << qm.axis(i, e)
         qm._irreducibles = out
     return qm._irreducibles
 
@@ -240,13 +234,10 @@ def _require_zero_distributive(qm):
 def _axis_companions(qm):
     """The distinct companions of the axis vectors (one member of one factor,
     bottom elsewhere), each mapped to the first axis vector that has it."""
-    bottom = [qm.lattice.bottom] * len(qm.factors)
     out = {}
     for i, factor in enumerate(qm.factors):
         for e in iter_bits(factor.members):
-            coords = bottom.copy()
-            coords[i] = e
-            p = qm.index[tuple(coords)]
+            p = qm.axis(i, e)
             out.setdefault(principal_perp(qm, p), p)
     return out
 
@@ -344,7 +335,7 @@ def _factor_lattices(qm):
     for fqm in map(qm.factor_qm, range(len(qm.factors))):
         if fqm not in read:
             fcl = closed_subquasimodules(fqm)
-            read[fqm] = (fcl, tuple(factor_element_mask(fqm, m) for m in fcl.nodes))
+            read[fqm] = (fcl, tuple(fqm.project(m, 0) for m in fcl.nodes))
     return [read[qm.factor_qm(i)] for i in range(len(qm.factors))]
 
 
@@ -448,12 +439,17 @@ def splitting_subquasimodules(qm, max_nodes=200_000):
 def product_mask(qm, element_masks):
     """Carrier bitmask of the product of one element subset per factor.
 
-    Per factor, the OR of the slab rows (CanonicalQM.slabs) of the elements
-    in its subset; elements outside the factor add nothing.
+    The AND over the factors of the OR of the slab rows (CanonicalQM.slabs)
+    of the elements in its subset; elements outside the factor add nothing.
+    A one-factor quasimodule has a single-bit slab per member, so on it this
+    lifts an element subset to the carrier and fqm.project(mask, 0) undoes it.
     """
     if len(element_masks) != len(qm.factors):
         raise ValueError("need one element mask per factor")
-    return _product_images(qm, [(em,) for em in element_masks])[0]
+    out = qm.full_mask
+    for em, slabs in zip(element_masks, qm.slabs()):
+        out &= _slab_union(slabs, em)
+    return out
 
 
 def _slab_union(slabs, element_mask):
@@ -462,22 +458,6 @@ def _slab_union(slabs, element_mask):
     for e, slab in slabs:
         if element_mask >> e & 1:
             out |= slab
-    return out
-
-
-def factor_carrier_mask(factor_qm, element_mask):
-    """Lift an element subset of a factor into its one-factor carrier."""
-    out = 0
-    for e in iter_bits(element_mask):
-        out |= 1 << factor_qm.position((e,))
-    return out
-
-
-def factor_element_mask(factor_qm, carrier_mask):
-    """Project a one-factor carrier subset back to an element subset."""
-    out = 0
-    for p in iter_bits(carrier_mask):
-        out |= 1 << factor_qm.carrier[p][0]
     return out
 
 

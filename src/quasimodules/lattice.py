@@ -179,6 +179,14 @@ class Lattice:
         except KeyError:
             raise IndexOutOfRange(f"unknown element label {label!r}") from None
 
+    def join_of(self, mask):
+        """The join of the elements in an element bitmask; bottom for the
+        empty mask."""
+        join, out = self.join, self.bottom
+        for x in iter_bits(mask):
+            out = join[out][x]
+        return out
+
     def labels(self, mask):
         """Labels of the elements in an element bitmask, in index order."""
         return tuple(self.names[i] for i in iter_bits(mask))
@@ -325,32 +333,24 @@ class Ideal(FrozenRecord):
 
     @property
     def max_element(self):
-        """The maximum member; exists because the ideal is finite and join-closed."""
-        for q in iter_bits(self.members):
-            if self.members & ~self.lattice.down[q] == 0:
-                return q
-        raise FactorNotIdeal("ideal has no maximum element")
+        """The maximum member: the join of the members, which a finite
+        join-closed set holds. Raises FactorNotIdeal when it does not."""
+        q = self.lattice.join_of(self.members)
+        if not self.members >> q & 1:
+            raise FactorNotIdeal("ideal has no maximum element")
+        return q
 
     def __repr__(self):
         return f"Ideal({{{' '.join(self.lattice.labels(self.members))}}})"
 
 
 def is_ideal(lattice, members):
-    """True iff the element subset is non-empty, down-closed and join-closed."""
+    """True iff the element subset is non-empty, down-closed and join-closed:
+    in a finite lattice, iff it is the down-set of its join."""
     m = members if isinstance(members, int) else mask_of(members)
     if m == 0 or m >> lattice.n:
         return False
-    els = list(iter_bits(m))
-    for x in els:
-        if lattice.down[x] & ~m:
-            return False
-    join = lattice.join
-    for i, x in enumerate(els):
-        jx = join[x]
-        for y in els[i + 1:]:
-            if not m >> jx[y] & 1:
-                return False
-    return True
+    return lattice.down[lattice.join_of(m)] == m
 
 
 def principal_ideal(lattice, q):

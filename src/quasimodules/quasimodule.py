@@ -84,6 +84,15 @@ class CanonicalQM:
         self._check(pos)
         return self.carrier[pos]
 
+    def axis(self, i, e):
+        """Position of the axis vector with e at coordinate i and bottom
+        elsewhere; raises NotInCarrier when e is not in factor i."""
+        if not 0 <= i < len(self.factors):
+            raise IndexOutOfRange(f"factor index out of range: {i}")
+        coords = [self.lattice.bottom] * len(self.factors)
+        coords[i] = e
+        return self.position(coords)
+
     def vector(self, *labels):
         """Carrier position of the vector given by one element label per factor."""
         if len(labels) != len(self.factors):
@@ -251,15 +260,16 @@ class CanonicalQM:
     def _slab_moves(self, i, x):
         """[(slab, shift)] for e -> join(x, e) on coordinate i.
 
-        Slabs with equal shifts are merged; an identity map gives [].
+        The slabs of one factor are one bit pattern at different offsets, so
+        the shift from e to e' is the distance between their slabs' lowest
+        bits. Slabs with equal shifts are merged; an identity map gives [].
         """
         join = self.lattice.join
         slabs = self.slabs()[i]
-        loc = {e: k for k, (e, _) in enumerate(slabs)}
-        stride = prod(f.members.bit_count() for f in self.factors[i + 1:])
+        start = {e: (slab & -slab).bit_length() for e, slab in slabs}
         by_shift = {}
         for e, slab in slabs:
-            shift = (loc[join[x][e]] - loc[e]) * stride
+            shift = start[join[x][e]] - start[e]
             by_shift[shift] = by_shift.get(shift, 0) | slab
         if by_shift.keys() == {0}:
             return []
@@ -318,16 +328,13 @@ def standard_basis(qm, check=True):
     `check` is False.
     """
     lattice = qm.lattice
-    base = [lattice.bottom] * len(qm.factors)
     out = []
     for i, f in enumerate(qm.factors):
         q = f.max_element
         if f.members != lattice.down[q]:
             raise FactorNotPrincipal(
                 f"factor {i} is not the interval below {lattice.names[q]!r}")
-        coords = list(base)
-        coords[i] = q
-        out.append(qm.position(tuple(coords)))
+        out.append(qm.axis(i, q))
     if check:
         from .subquasi import SubQM, is_basis
 

@@ -89,8 +89,8 @@ def is_subquasimodule(qm, vectors):
     Witness forms: ("zero",), ("add", p, q, p+q), ("smul", c, p, c*p).
 
     A set that is the product of its projections is decided on the factors
-    (Lemma 6(ii)): it holds iff each projection is closed under join and
-    under meet with every scalar. Only a "holds" is returned that way; any
+    (Lemma 6(ii)): it holds iff each projection is an ideal, the down-set
+    of its join. Only a "holds" is returned that way; any
     other set, and any product that fails, goes to the scan, so witnesses do
     not depend on the shortcut. The scan tests each row as one subset image
     (CanonicalQM.image); only a row that leaves the set is scanned pair by
@@ -127,10 +127,10 @@ def is_subquasimodule(qm, vectors):
 
 def _holds_on_factors(qm, mask):
     """True iff mask is the product of its projections and each projection
-    is closed under join and scalar meet; mask must hold zero.
-
-    {c ^ e : c in L} is the down-set of e, so scalar closure of a projection
-    is one mask test per element.
+    is an ideal, the down-set of its join; mask must hold zero, so no
+    projection is empty. An element set closed under scalar meet holds the
+    down-set {c ^ e : c in L} of each member, and one closed under join holds
+    its join, so these are exactly the factor subquasimodules.
     """
     product = qm.full_mask
     parts = []
@@ -144,17 +144,8 @@ def _holds_on_factors(qm, mask):
         parts.append(em)
     if product != mask:
         return False
-    join, down = qm.lattice.join, qm.lattice.down
-    for em in parts:
-        elements = list(iter_bits(em))
-        for k, a in enumerate(elements):
-            if down[a] & ~em:
-                return False
-            row = join[a]
-            for b in elements[k + 1:]:
-                if not em >> row[b] & 1:
-                    return False
-    return True
+    lattice = qm.lattice
+    return all(lattice.down[lattice.join_of(em)] == em for em in parts)
 
 
 class SubQMLattice:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..bitset import bit_key, iter_bits, mask_of, sort_masks
+from ..bitset import bit_key, mask_of, sort_masks
 from ..errors import UnknownInstance
 from ..galois import (
     closed_lattice_iso,

@@ -28,8 +28,6 @@ from ..galois import (
     closed_lattice_iso,
     closed_sets,
     closed_subquasimodules,
-    factor_carrier_mask,
-    factor_element_mask,
     is_splitting,
     perp,
     principal_perp,
@@ -148,20 +146,16 @@ class _Ctx:
         """Per factor: element subsets to quantify product clauses over.
 
         All subquasimodules of the factor, plus a few seeded arbitrary
-        subsets so the 'only if' directions get exercised. Equal factors
-        share one factor quasimodule, enumerated once; the seeded subsets
-        are drawn per factor.
+        subsets drawn per factor so the 'only if' directions get exercised.
+        A factor subquasimodule is an ideal, the down-set of its join
+        (subquasi._holds_on_factors), so they are {down[q] : q in the factor}.
         """
         rng = random.Random(self.b.seed + 1)
-        subs = {}
+        down = self.qm.lattice.down
         pools = []
-        for i, factor in enumerate(self.qm.factors):
-            fqm = self.qm.factor_qm(i)
-            if fqm not in subs:
-                subs[fqm] = {factor_element_mask(fqm, m)
-                             for m in all_subquasimodules(fqm).nodes}
-            pool = set(subs[fqm])
+        for factor in self.qm.factors:
             fbits = list(iter_bits(factor.members))
+            pool = {down[q] for q in fbits}
             for _ in range(8):
                 sample = mask_of(e for e in fbits if rng.random() < 0.5)
                 if sample:
@@ -556,7 +550,7 @@ def _c_lem6_i(ctx):
                 continue
             seen.add((i, em))
             fqm = qm.factor_qm(i)
-            ok, _ = is_subquasimodule(fqm, factor_carrier_mask(fqm, em))
+            ok, _ = is_subquasimodule(fqm, product_mask(fqm, [em]))
             if not ok:
                 return FAIL, ctx.doc(subquasimodule=ctx.labels(mask), factor=i), None
     return PASS, None, None
@@ -578,7 +572,7 @@ def _c_lem1(ctx):
     _, note = ctx.subset_pool
     for a in generators(ctx.m):
         expect = product_mask(qm, [
-            factor_element_mask(fqm, perp(fqm, factor_carrier_mask(fqm, qm.project(a, i))))
+            fqm.project(perp(fqm, product_mask(fqm, [qm.project(a, i)])), 0)
             for i, fqm in enumerate(fqms)])
         if ctx.perp[a] != expect:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
@@ -653,6 +647,7 @@ def _c_splitting_product(ctx):
 def _product_iff(ctx, factor_side, product_side):
     """Check: product passes iff every factor component passes."""
     qm = ctx.qm
+    fqms = [qm.factor_qm(i) for i in range(len(qm.factors))]
     pools = ctx.factor_subqm_pools
     total = 1
     for p in pools:
@@ -667,9 +662,8 @@ def _product_iff(ctx, factor_side, product_side):
     for choice in choices:
         mask = product_mask(qm, choice)
         left = product_side(mask)
-        right = all(
-            factor_side(qm.factor_qm(i), factor_carrier_mask(qm.factor_qm(i), em))
-            for i, em in enumerate(choice))
+        right = all(factor_side(fqm, product_mask(fqm, [em]))
+                    for fqm, em in zip(fqms, choice))
         if left != right:
             labels = [list(qm.lattice.labels(em)) for em in choice]
             return FAIL, ctx.doc(factor_choice=labels, product=left, factors_pass=right), note

@@ -9,7 +9,6 @@ from quasimodules import builtin, canonical, principal_ideal
 from quasimodules.errors import FactorizationFailed, NotClosed
 from quasimodules.galois import (
     _require_zero_distributive,
-    factor_carrier_mask,
     is_closed,
     principal_perp,
     product_mask,
@@ -87,7 +86,7 @@ def factorize_closed(qm, sub):
     for i in range(len(qm.factors)):
         em = qm.project(sub.members, i)
         fqm = qm.factor_qm(i)
-        if not is_closed(fqm, factor_carrier_mask(fqm, em)):
+        if not is_closed(fqm, product_mask(fqm, [em])):
             raise FactorizationFailed(
                 f"projection to factor {i} is not closed: {qm.lattice.labels(em)}")
         masks.append(em)

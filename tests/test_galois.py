@@ -728,7 +728,7 @@ def test_product_involution_reads_each_factor_involution(spec, planted):
     fqm = qm.factor_qm(planted)
     fqm._closed = ClosedLattice(fqm, closed_sets(fqm), lambda mask: mask)
     lattices = [closed_subquasimodules(qm.factor_qm(i)) for i in range(len(qm.factors))]
-    ems = [[galois.factor_element_mask(qm.factor_qm(i), m) for m in fcl.nodes]
+    ems = [[qm.factor_qm(i).project(m, 0) for m in fcl.nodes]
            for i, fcl in enumerate(lattices)]
     closed = closed_subquasimodules(qm)
     for choice in itertools.product(*(range(len(fcl)) for fcl in lattices)):

@@ -1,6 +1,8 @@
-"""Import hygiene: a `quasimod` process loads only what its command runs, and
-the lazy package exports every public name from its submodule."""
+"""Import hygiene: a `quasimod` process loads only what its command runs, the
+lazy package exports every public name from its submodule, and no module
+imports a name it never uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -83,3 +85,40 @@ def test_unknown_names_raise_attribute_error():
         quasimodules.no_such_name
     with pytest.raises(AttributeError, match="no_such_name"):
         quasimodules.verify.no_such_name
+
+
+def unused_imports(source):
+    """The names a module imports and never references, in import order.
+
+    A reference is a loaded name anywhere in the module; `__future__`
+    imports are directives, not names, and are left out.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport os, os.path as osp\n"
+              "from .bitset import iter_bits, mask_of\nprint(os.sep, mask_of)\n")
+    assert unused_imports(source) == ["osp", "iter_bits"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = os.path.join(SRC, "quasimodules")
+    found = {}
+    for dirpath, _, filenames in os.walk(package):
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    unused = unused_imports(fh.read())
+                if unused:
+                    found[os.path.relpath(path, package)] = unused
+    assert found == {}

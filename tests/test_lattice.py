@@ -1,3 +1,4 @@
+import functools
 import re
 
 import pytest
@@ -18,6 +19,7 @@ from quasimodules import (
 )
 from quasimodules.bitset import iter_bits, mask_of
 from quasimodules.errors import (
+    FactorNotIdeal,
     IndexOutOfRange,
     NotALattice,
     NotAPoset,
@@ -138,6 +140,50 @@ def test_ideal_from_members_validates(n5):
         Ideal.from_members(n5, ["0", "a", "b"])
     ideal = Ideal.from_members(n5, ["0", "a", "c"])
     assert ideal.max_element == n5.index("c")
+
+
+# -- join_of, is_ideal and max_element against the former loops ----------------
+
+def old_is_ideal(lattice, m):
+    """The former is_ideal, kept as the oracle: down-closure of every member,
+    then join-closure over every member pair."""
+    if m == 0 or m >> lattice.n:
+        return False
+    els = list(iter_bits(m))
+    if any(lattice.down[x] & ~m for x in els):
+        return False
+    return all(m >> lattice.join[x][y] & 1 for i, x in enumerate(els) for y in els[i + 1:])
+
+
+def old_max_element(ideal):
+    """The former Ideal.max_element search, kept as the oracle."""
+    for q in iter_bits(ideal.members):
+        if ideal.members & ~ideal.lattice.down[q] == 0:
+            return q
+    raise FactorNotIdeal("ideal has no maximum element")
+
+
+def test_join_of_is_ideal_and_max_element_match_the_former_loops():
+    lattices = [lat for n in range(1, 7) for lat in _exhaustive_lattices(n)]
+    ideals = 0
+    for lat in lattices:
+        for m in range(1 << lat.n):
+            fold = functools.reduce(lambda a, x: lat.join[a][x], iter_bits(m), lat.bottom)
+            assert lat.join_of(m) == fold, (lat.up, m)
+            assert is_ideal(lat, m) == old_is_ideal(lat, m), (lat.up, m)
+            if is_ideal(lat, m):
+                ideals += 1
+                assert Ideal(lat, m).max_element == old_max_element(Ideal(lat, m))
+    # every ideal is the down-set of one element
+    assert ideals == sum(lat.n for lat in lattices)
+
+
+def test_max_element_of_a_non_ideal_raises(n5):
+    pair = Ideal(n5, mask_of(n5.index(x) for x in ("a", "b")))
+    with pytest.raises(FactorNotIdeal):
+        pair.max_element
+    with pytest.raises(FactorNotIdeal):
+        old_max_element(pair)
 
 
 def test_unknown_builtin():

@@ -139,18 +139,14 @@ def test_galois_connection_laws(qm, data):
 @given(quasimodules_(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_companion_is_product_of_projections(qm, data):
-    from quasimodules.galois import (
-        factor_carrier_mask,
-        factor_element_mask,
-        product_mask,
-    )
+    from quasimodules.galois import product_mask
 
     a = data.draw(st.integers(0, qm.full_mask))
     parts = []
     for i in range(len(qm.factors)):
         fqm = qm.factor_qm(i)
-        fperp = perp(fqm, factor_carrier_mask(fqm, qm.project(a, i)))
-        parts.append(factor_element_mask(fqm, fperp))
+        fperp = perp(fqm, product_mask(fqm, [qm.project(a, i)]))
+        parts.append(fqm.project(fperp, 0))
     assert perp(qm, a) == product_mask(qm, parts)
 
 

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from quasimodules import (
     RawQM,
+    all_subquasimodules,
     builtin,
     canonical,
     parse_qm,
     principal_ideal,
+    product_mask,
     read_qm_file,
     standard_basis,
     verify_axioms,
@@ -279,3 +281,71 @@ def test_equal_factors_share_one_factor_quasimodule():
                 distinct += not same
     # bool3.cube, n5.pow4 and the squares among them; ex1 and the mixed ones
     assert shared and distinct
+
+
+# -- axis vectors and the one-factor lift, against the former converters ---------
+
+def old_axis(qm, i, e):
+    """The former hand-built axis tuple, kept as the oracle."""
+    coords = [qm.lattice.bottom] * len(qm.factors)
+    coords[i] = e
+    return qm.position(tuple(coords))
+
+
+def old_lift(fqm, element_mask):
+    """The former one-factor lift of an element subset into the carrier,
+    kept as the oracle."""
+    out = 0
+    for e in iter_bits(element_mask):
+        out |= 1 << fqm.position((e,))
+    return out
+
+
+def old_projection(fqm, carrier_mask):
+    """The former projection of a one-factor carrier subset back to an
+    element subset, kept as the oracle."""
+    out = 0
+    for p in iter_bits(carrier_mask):
+        out |= 1 << fqm.carrier[p][0]
+    return out
+
+
+def test_axis_lift_and_projection_match_the_former_converters():
+    subsets = 0
+    for spec in sorted(os.listdir(SPECS)):
+        qm = read_qm_file(os.path.join(SPECS, spec))
+        for i, factor in enumerate(qm.factors):
+            for e in iter_bits(factor.members):
+                assert qm.axis(i, e) == old_axis(qm, i, e), (spec, i, e)
+            fqm = qm.factor_qm(i)
+            members = list(iter_bits(factor.members))
+            for bits in range(1 << len(members)):
+                em = sum(1 << e for k, e in enumerate(members) if bits >> k & 1)
+                lifted = old_lift(fqm, em)
+                assert product_mask(fqm, [em]) == lifted, (spec, i, em)
+                assert fqm.project(lifted, 0) == old_projection(fqm, lifted) == em
+                subsets += 1
+    assert subsets == 2228
+
+
+def test_axis_rejects_elements_outside_the_factor(ex1_qm):
+    assert ex1_qm.vector_labels(ex1_qm.axis(1, ex1_qm.lattice.index("a"))) == ("0", "a")
+    with pytest.raises(NotInCarrier):
+        ex1_qm.axis(1, ex1_qm.lattice.index("c"))
+    for i in (-1, 2):
+        with pytest.raises(IndexOutOfRange):
+            ex1_qm.axis(i, ex1_qm.lattice.bottom)
+
+
+def test_factor_subquasimodules_are_the_down_sets_of_their_members():
+    # a factor subquasimodule holds bottom and is closed under join and
+    # scalar meet, so it is an ideal: the down-set of its join
+    factors = 0
+    for label, qm in product_instances():
+        down = qm.lattice.down
+        for i, factor in enumerate(qm.factors):
+            fqm = qm.factor_qm(i)
+            got = [fqm.project(m, 0) for m in all_subquasimodules(fqm).nodes]
+            assert sorted(got) == sorted({down[q] for q in iter_bits(factor.members)}), label
+            factors += 1
+    assert factors == 22 + 110 + 7

@@ -1,4 +1,5 @@
 import gc
+import os
 import random
 from functools import cached_property
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasimodules import (
     SubQM,
+    all_subquasimodules,
     canonical,
     check_all,
     check_homomorphism,
@@ -16,6 +18,7 @@ from quasimodules import (
     perp,
     principal_ideal,
     principal_perp,
+    read_qm_file,
     reproduce_reference,
     replay_witness,
 )
@@ -26,7 +29,7 @@ from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConf
 from quasimodules.verify import laws, search
 from quasimodules.verify.instances import is_boolean_shape
 
-from conftest import SUBSET_INSTANCES, factorize_closed, poisoned, qm_from
+from conftest import SPECS, SUBSET_INSTANCES, factorize_closed, poisoned, qm_from
 
 
 def by_clause(reports):
@@ -462,8 +465,7 @@ def old_lem1(ctx):
     def factor_perp(i, emask):
         if (i, emask) not in fperp:
             fqm = fqms[i]
-            fperp[i, emask] = galois.factor_element_mask(
-                fqm, perp(fqm, galois.factor_carrier_mask(fqm, emask)))
+            fperp[i, emask] = fqm.project(perp(fqm, galois.product_mask(fqm, [emask])), 0)
         return fperp[i, emask]
 
     for a in pool:
@@ -812,7 +814,7 @@ def violates_th3(qm, closed, witness):
     node = _mask(qm, witness["node"])
     fqms = [qm.factor_qm(i) for i in range(len(qm.factors))]
     parts = [qm.project(node, i) for i in range(len(fqms))]
-    parts_closed = all(galois.is_closed(fqm, galois.factor_carrier_mask(fqm, em))
+    parts_closed = all(galois.is_closed(fqm, galois.product_mask(fqm, [em]))
                        for fqm, em in zip(fqms, parts))
     return node in closed and (not parts_closed or galois.product_mask(qm, parts) != node)
 
@@ -1123,3 +1125,38 @@ def test_check_homomorphism_keeps_the_former_records():
         statuses.append(got if isinstance(got, str) else got["status"])
     assert statuses[:4] == [PASS, PASS, HYP, HYP]
     assert {PASS, FAIL, HYP} <= set(statuses)
+
+
+# -- factor pools from down-sets --------------------------------------------------
+
+def old_factor_subqm_pools(ctx):
+    """The former pools, kept as the oracle: each factor quasimodule's
+    subquasimodules by enumeration, projected to element masks, plus the
+    same seeded subsets."""
+    rng = random.Random(ctx.b.seed + 1)
+    pools = []
+    for i, factor in enumerate(ctx.qm.factors):
+        fqm = ctx.qm.factor_qm(i)
+        pool = {fqm.project(m, 0) for m in all_subquasimodules(fqm).nodes}
+        fbits = list(iter_bits(factor.members))
+        for _ in range(8):
+            sample = mask_of(e for e in fbits if rng.random() < 0.5)
+            if sample:
+                pool.add(sample)
+        pools.append(sorted(pool))
+    return pools
+
+
+def test_factor_pools_match_the_enumerated_ones():
+    cfg = SearchConfig(max_lattice_size=5)
+    contexts = [(spec, read_qm_file(os.path.join(SPECS, spec)))
+                for spec in sorted(os.listdir(SPECS))]
+    contexts += [(f"{lat.up} {factors}", canonical(lat, factors)) for n in range(1, 6)
+                 for lat in search._exhaustive_lattices(n)
+                 for factors in search._factor_variants(lat, cfg)]
+    assert len(contexts) == 9 + 61
+    for label, qm in contexts:
+        for seed in (0, 7):
+            budgets = Budgets(seed=seed)
+            assert (laws._Ctx(qm, budgets).factor_subqm_pools
+                    == old_factor_subqm_pools(laws._Ctx(qm, budgets))), (label, seed)
