@@ -518,7 +518,7 @@ def parse_qm(text, base_dir=None, source="<qm>"):
             if lattice is None:
                 raise ParseError("'factor:' before 'lattice:'", source, lineno)
             tokens = line[len("factor:"):].split()
-            if len(tokens) >= 2 and tokens[0] == "principal":
+            if tokens and tokens[0] == "principal":
                 if len(tokens) != 2:
                     raise ParseError("expected 'factor: principal LABEL'", source, lineno)
                 factor_specs.append(("principal", tokens[1], lineno))

@@ -105,13 +105,6 @@ M3_BASIS_SUBSETS = (
 
 # -- helpers ------------------------------------------------------------------
 
-def _report(reports, instance, clause, ok, detail=None, start=None):
-    status = PASS if ok else FAIL
-    seconds = perf_counter() - start if start is not None else 0.0
-    reports.append(TheoremReport(f"{instance}.{clause}", status, instance,
-                                 detail if not ok else None, None, seconds))
-
-
 def _mask_from_labels(qm, label_tuples):
     return mask_of(qm.vector(*labels) for labels in label_tuples)
 
@@ -152,41 +145,49 @@ def fig5_qm():
 
 
 # -- instance runners ----------------------------------------------------------
+#
+# Each yields (check, holds, detail) per golden check; reproduce_reference
+# makes the reports.
 
 def _run_ex2():
-    reports = []
-    start = perf_counter()
     lattice = builtin("n5")
-    rebuilt = build_lattice(*builtin_covers("n5"))
-    _report(reports, "ex2", "build-roundtrip", rebuilt == lattice, start=start)
-    start = perf_counter()
+    yield "build-roundtrip", build_lattice(*builtin_covers("n5")) == lattice, None
     ok0, _ = is_0_distributive(lattice)
-    _report(reports, "ex2", "zero-distributive", ok0, start=start)
-    start = perf_counter()
+    yield "zero-distributive", ok0, None
     okm, witness = is_modular(lattice)
-    _report(reports, "ex2", "non-modular",
-            not okm and witness == tuple(lattice.index(x) for x in "abc"),
-            {"witness": witness}, start=start)
-    return reports
+    yield ("non-modular", not okm and witness == tuple(lattice.index(x) for x in "abc"),
+           {"witness": witness})
+
+
+def _ex1_bases(qm, golden_masks):
+    """(holds, detail): each EX1_BASES entry is an orthogonal basis, and its
+    subsets generate the golden P-numbers."""
+    full_sub = SubQM(qm, qm.full_mask)
+    for base_labels, breakdown in EX1_BASES:
+        positions = [qm.vector(*v) for v in base_labels]
+        orth = all(qm.orthogonal(p, q) for p, q in
+                   [(a, b) for i, a in enumerate(positions) for b in positions[i + 1:]])
+        if not (orth and is_basis(full_sub, positions)):
+            return False, {"basis": base_labels}
+        for subset_labels, p_number in breakdown:
+            got = generate(qm, _mask_from_labels(qm, subset_labels)).members
+            if got != golden_masks[p_number - 1]:
+                return False, {"generators": subset_labels,
+                               "generated": qm.label_sets(got),
+                               "expected": f"P{p_number}"}
+    return True, None
 
 
 def _run_ex1():
-    reports = []
-    instance = "ex1"
     qm = ex1_qm()
-
-    start = perf_counter()
     subs = all_subquasimodules(qm)
     golden_masks = [_mask_from_labels(qm, vs) for vs in EX1_SUBQUASIMODULES]
     extra = [qm.label_sets(m) for m in subs.nodes if m not in set(golden_masks)]
     missing = [qm.label_sets(m) for m in golden_masks if m not in set(subs.nodes)]
     diff = {"count": len(subs), "not_in_golden": extra, "not_computed": missing}
-    _report(reports, instance, "subquasimodule-count", len(subs) == 20, diff, start)
-    start = perf_counter()
-    _report(reports, instance, "subquasimodule-sets",
-            list(subs.nodes) == golden_masks, diff, start)
+    yield "subquasimodule-count", len(subs) == 20, diff
+    yield "subquasimodule-sets", list(subs.nodes) == golden_masks, diff
 
-    start = perf_counter()
     table_ok = True
     diff = None
     for k, mask in enumerate(golden_masks):
@@ -200,46 +201,20 @@ def _run_ex1():
                     "companion": qm.label_sets(companion),
                     "double": qm.label_sets(double)}
             break
-    _report(reports, instance, "companion-table", table_ok, diff, start)
+    yield "companion-table", table_ok, diff
 
-    start = perf_counter()
     closed = closed_subquasimodules(qm)
     want_closed = [golden_masks[k - 1] for k in EX1_CLOSED]
-    _report(reports, instance, "closed-family",
-            list(closed.nodes) == sort_masks(want_closed, qm.size),
-            {"computed": [qm.label_sets(m) for m in closed.nodes]}, start)
+    yield ("closed-family", list(closed.nodes) == sort_masks(want_closed, qm.size),
+           {"computed": [qm.label_sets(m) for m in closed.nodes]})
 
-    start = perf_counter()
     iso = closed_lattice_iso(qm)
-    _report(reports, instance, "closed-boolean",
-            len(closed) == 8 and is_boolean_shape(closed.nodes) and iso.is_isomorphism,
-            {"count": len(closed)}, start)
+    yield ("closed-boolean",
+           len(closed) == 8 and is_boolean_shape(closed.nodes) and iso.is_isomorphism,
+           {"count": len(closed)})
 
-    start = perf_counter()
-    bases_ok = True
-    diff = None
-    full_sub = SubQM(qm, qm.full_mask)
-    for base_labels, breakdown in EX1_BASES:
-        positions = [qm.vector(*v) for v in base_labels]
-        orth = all(qm.orthogonal(p, q) for p, q in
-                   [(a, b) for i, a in enumerate(positions) for b in positions[i + 1:]])
-        if not (orth and is_basis(full_sub, positions)):
-            bases_ok = False
-            diff = {"basis": base_labels}
-            break
-        for subset_labels, p_number in breakdown:
-            got = generate(qm, _mask_from_labels(qm, subset_labels)).members
-            if got != golden_masks[p_number - 1]:
-                bases_ok = False
-                diff = {"generators": subset_labels,
-                        "generated": qm.label_sets(got),
-                        "expected": f"P{p_number}"}
-                break
-        if not bases_ok:
-            break
-    _report(reports, instance, "orthogonal-bases", bases_ok, diff, start)
+    yield ("orthogonal-bases", *_ex1_bases(qm, golden_masks))
 
-    start = perf_counter()
     lattice = qm.lattice
     single = canonical(lattice, (principal_ideal(lattice, lattice.top),))
     perps_ok = all(
@@ -249,45 +224,35 @@ def _run_ex1():
     closed_n5 = closed_subquasimodules(single)
     want_n5 = sort_masks((mask_of(single.vector(e) for e in labels) for labels in N5_CLOSED),
                          single.size)
-    _report(reports, instance, "scalar-lattice-companions",
-            perps_ok and list(closed_n5.nodes) == want_n5
-            and is_boolean_shape(closed_n5.nodes), None, start)
-    return reports
+    yield ("scalar-lattice-companions",
+           perps_ok and list(closed_n5.nodes) == want_n5 and is_boolean_shape(closed_n5.nodes),
+           None)
 
 
 def _run_m3():
-    reports = []
-    instance = "m3"
     lattice = builtin("m3")
-
-    start = perf_counter()
     ok0, witness = is_0_distributive(lattice)
     expected = tuple(lattice.index(x) for x in "abc")
-    _report(reports, instance, "not-zero-distributive",
-            not ok0 and witness == expected, {"witness": witness}, start)
-    start = perf_counter()
+    yield "not-zero-distributive", not ok0 and witness == expected, {"witness": witness}
     okm, _ = is_modular(lattice)
     okd, _ = is_distributive(lattice)
-    _report(reports, instance, "modular-non-distributive", okm and not okd, None, start)
+    yield "modular-non-distributive", okm and not okd, None
 
     qm = m3_qm()
     a = lattice.index("a")
     square = mask_of(p for p, u in enumerate(qm.carrier)
                      if lattice.le(u[0], a) and lattice.le(u[1], a))
-
-    start = perf_counter()
     ok_sub, _ = is_subquasimodule(qm, square)
     companion = perp(qm, square)
     want_companion = _mask_from_labels(qm, M3_COMPANION_OF_SQUARE)
     holds, violation = is_subquasimodule(qm, companion)
     want_violation = ("add", qm.vector("b", "0"), qm.vector("c", "0"),
                       qm.vector("1", "0"))
-    _report(reports, instance, "companion-not-subquasimodule",
-            ok_sub and companion == want_companion and not holds
-            and violation == want_violation,
-            {"companion": qm.label_sets(companion), "violation": violation}, start)
+    yield ("companion-not-subquasimodule",
+           ok_sub and companion == want_companion and not holds
+           and violation == want_violation,
+           {"companion": qm.label_sets(companion), "violation": violation})
 
-    start = perf_counter()
     positions = [qm.vector(*v) for v in M3_BASIS]
     orth = all(qm.orthogonal(p, q)
                for i, p in enumerate(positions) for q in positions[i + 1:])
@@ -301,20 +266,14 @@ def _run_m3():
             gen_ok = False
             diff = {"generators": subset_labels, "generated": qm.label_sets(got)}
             break
-    _report(reports, instance, "orthogonal-basis", basis_ok and gen_ok, diff, start)
-    return reports
+    yield "orthogonal-basis", basis_ok and gen_ok, diff
 
 
 def _run_fig5():
-    reports = []
-    instance = "fig5"
     lattice = builtin("fig5")
-
-    start = perf_counter()
     ok0, _ = is_0_distributive(lattice)
     okm, _ = is_modular(lattice)
-    _report(reports, instance, "zero-distributive-non-modular",
-            lattice.n == 6 and ok0 and not okm, None, start)
+    yield "zero-distributive-non-modular", lattice.n == 6 and ok0 and not okm, None
 
     qm = fig5_qm()
     b = lattice.index("b")
@@ -323,39 +282,29 @@ def _run_fig5():
                      if lattice.le(u[0], b) and lattice.le(u[1], c))
     want_companion = mask_of(p for p, u in enumerate(qm.carrier)
                              if lattice.le(u[0], c) and lattice.le(u[1], b))
-
-    start = perf_counter()
     ok_sub, _ = is_subquasimodule(qm, p_mask)
     companion = perp(qm, p_mask)
-    _report(reports, instance, "closed",
-            ok_sub and companion == want_companion and is_closed(qm, p_mask),
-            {"companion": qm.label_sets(companion)}, start)
+    yield ("closed", ok_sub and companion == want_companion and is_closed(qm, p_mask),
+           {"companion": qm.label_sets(companion)})
 
-    start = perf_counter()
     sums = sum_set(qm, p_mask, companion)
     top_vec = qm.vector("1", "1")
     splitting = is_splitting(qm, SubQM(qm, p_mask))
-    _report(reports, instance, "not-splitting",
-            not splitting and not sums >> top_vec & 1,
-            {"sum": qm.label_sets(sums)}, start)
-    return reports
+    yield ("not-splitting", not splitting and not sums >> top_vec & 1,
+           {"sum": qm.label_sets(sums)})
 
 
 def _run_n5_power():
-    reports = []
-    instance = "n5-power"
     lattice = builtin("n5")
     for n in (1, 2):
-        start = perf_counter()
         qm = canonical(lattice, tuple(principal_ideal(lattice, lattice.top)
                                       for _ in range(n)))
         closed = closed_subquasimodules(qm)
         iso = closed_lattice_iso(qm)
-        _report(reports, instance, f"boolean-{n}",
-                len(closed) == 1 << (2 * n) and is_boolean_shape(closed.nodes)
-                and iso.is_isomorphism,
-                {"count": len(closed)}, start)
-    return reports
+        yield (f"boolean-{n}",
+               len(closed) == 1 << (2 * n) and is_boolean_shape(closed.nodes)
+               and iso.is_isomorphism,
+               {"count": len(closed)})
 
 
 _RUNNERS = {
@@ -368,9 +317,17 @@ _RUNNERS = {
 
 
 def reproduce_reference(instance):
-    """Replay one bundled reference instance against its golden data."""
+    """Replay one bundled reference instance against its golden data: one
+    report per golden check, timed from the previous one, with its detail
+    kept only on a failure."""
     runner = _RUNNERS.get(instance)
     if runner is None:
         raise UnknownInstance(
             f"unknown instance {instance!r}; available: {', '.join(REFERENCE_INSTANCES)}")
-    return runner()
+    reports = []
+    start = perf_counter()
+    for check, holds, detail in runner():
+        reports.append(TheoremReport(f"{instance}.{check}", PASS if holds else FAIL, instance,
+                                     None if holds else detail, None, perf_counter() - start))
+        start = perf_counter()
+    return reports

@@ -8,17 +8,20 @@ every carrier size. Subset clauses walk the empty set, the singletons and
 the pairs {zero, q}; `rem1.iii` and `th2.ii` read the companion family and
 the closed nodes. Pair clauses scan the pairs of generators; their family
 forms follow by induction on family size. `lem1` is decided on the
-generators. `th2.vi` alone walks a sampled subset pool. Any restriction is
-stamped in the note; beyond two carrier sizes the notes still say "sampled"
-where a clause is exact, as frozen CLI stdout holds them. `check_homomorphism`
-scans the subquasimodule node pairs, and draws seeded families only for the
-join law, which its pair form does not decide.
+generators. `th2.vi` alone walks a sampled subset pool. Clause bodies only
+decide; `_record` makes every record. It times the body, turns
+`EnumerationBudgetExceeded` into `budget-exceeded` with the enumeration's
+message, and stamps the notes of `_FROZEN_NOTES`: beyond two carrier sizes
+those notes still say "sampled" where a clause is exact, as frozen CLI stdout
+holds them. `check_homomorphism` scans the subquasimodule node pairs, and
+draws seeded families only for the join law, which its pair form does not
+decide.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, combinations_with_replacement, product as iproduct
 from time import perf_counter
 
@@ -43,13 +46,16 @@ FAIL = "fail"
 HYP = "hypothesis-not-met"
 BUDGET = "budget-exceeded"
 
-# The notes of the former sampled subset and pair pools, and the carrier
-# sizes beyond which the subset clauses and lem1, and the pair clauses, keep
-# them, although they are exact at every size: frozen CLI stdout holds them.
-_SUBSET_NOTE_BITS = 16
-_SUBSET_NOTE = "sampled: subquasimodules, singletons and 1000 seeded subsets"
-_PAIR_NOTE_BITS = 10
-_PAIR_NOTE = "pairs sampled: subquasimodule pairs plus 1500 seeded pairs"
+# The notes of the former sampled subset and pair pools, by clause, with the
+# carrier size beyond which a pass or fail keeps its note, although the
+# clauses are exact at every size: frozen CLI stdout holds them.
+_SUBSET_NOTE = (16, "sampled: subquasimodules, singletons and 1000 seeded subsets")
+_PAIR_NOTE = (10, "pairs sampled: subquasimodule pairs plus 1500 seeded pairs")
+_FROZEN_NOTES = {
+    **dict.fromkeys(("rem1.i", "rem1.iii", "lem4.iv", "prop2", "th2.i", "th2.ii", "lem1"),
+                    _SUBSET_NOTE),
+    **dict.fromkeys(("rem1.ii", "rem1.iv", "lem4.i", "lem4.ii"), _PAIR_NOTE),
+}
 # Family and orthogonal-set sizes, seeded families of check_homomorphism,
 # product-combo cap.
 _MAX_FAMILY = 4
@@ -97,9 +103,21 @@ class Budgets(FrozenRecord):
 # --------------------------------------------------------------------------
 # shared per-instance context
 
+class _Memo(dict):
+    """`fn(key)` by key, computed on first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class _Ctx:
     """What the clauses of one instance share: the budgets, the companion,
-    closure and subquasimodule caches, and the subquasimodule lattice,
+    closure and subquasimodule memos, and the subquasimodule lattice,
     enumerated on first use. One context can serve check_all and then
     check_homomorphism (`qm verify`), so the enumeration, or its run to the
     node budget, happens once; it lives as long as the caller keeps it."""
@@ -111,21 +129,27 @@ class _Ctx:
         self.m = qm.size
         self.full = qm.full_mask
         self.zmask = 1 << qm.zero
-        self.perp = _PerpCache(qm)
-        self._close_cache = {}
-        self._subqm_cache = {}
+        # bound to qm, not to the context: a bound method would be a cycle
+        self.perp = _Memo(partial(_meet, qm))
+        self.close = _Memo(partial(close_mask, qm))
+        self.subqm = _Memo(partial(is_subquasimodule, qm))
         self.zd_defect = zero_distributivity_defect(qm)
-        self._subs_note = None
+        self._over_budget = None
 
     # -- derived structures --------------------------------------------------
 
     @cached_property
     def subs(self):
-        try:
-            return all_subquasimodules(self.qm, max_nodes=self.b.max_nodes)
-        except EnumerationBudgetExceeded as exc:
-            self._subs_note = str(exc)
-            return None
+        """The subquasimodule lattice. Past the node budget every read raises
+        EnumerationBudgetExceeded with the message of the one enumeration;
+        the message is kept, not the exception, whose traceback would hold
+        this context's frame."""
+        if self._over_budget is None:
+            try:
+                return all_subquasimodules(self.qm, max_nodes=self.b.max_nodes)
+            except EnumerationBudgetExceeded as exc:
+                self._over_budget = str(exc)
+        raise EnumerationBudgetExceeded(self._over_budget)
 
     @cached_property
     def closed(self):
@@ -137,8 +161,6 @@ class _Ctx:
 
     @cached_property
     def splitting_masks(self):
-        if self.subs is None:
-            return None
         return [m for m in self.subs.nodes if is_splitting(self.qm, SubQM(self.qm, m))]
 
     @cached_property
@@ -180,47 +202,27 @@ class _Ctx:
     def dd_of(self, mask):
         return self.perp[self.perp[mask]]
 
-    def close_of(self, mask):
-        cached = self._close_cache.get(mask)
-        if cached is None:
-            cached = close_mask(self.qm, mask)
-            self._close_cache[mask] = cached
-        return cached
-
-    def subqm_of(self, mask):
-        cached = self._subqm_cache.get(mask)
-        if cached is None:
-            cached = is_subquasimodule(self.qm, mask)
-            self._subqm_cache[mask] = cached
-        return cached
-
     # -- quantifier pools -------------------------------------------------------
 
     @cached_property
     def subset_pool(self):
-        """(masks, note) quantifying 'for all subsets' clauses: the generators
+        """The masks quantifying 'for all subsets' clauses: the generators
         and the pairs {zero, q}, ascending, at every size. A set fails rem1.i,
         prop2 or th2.i only if a singleton in it does, and lem4.iv only if a
         singleton or a pair {zero, q} in it does. Those are no larger as
-        masks, so the first failure is that of a walk over all subsets.
-        Beyond _SUBSET_NOTE_BITS positions the note of the former sampled
-        pool stays, as frozen CLI stdout holds it."""
+        masks, so the first failure is that of a walk over all subsets."""
         pairs = (self.zmask | 1 << q for q in range(self.m))
-        note = _SUBSET_NOTE if self.m > _SUBSET_NOTE_BITS else None
-        return sorted({*generators(self.m), *pairs}), note
+        return sorted({*generators(self.m), *pairs})
 
     def pair_pool(self):
-        """(pairs, note) quantifying 'for all pairs of subsets' clauses: each
+        """The pairs quantifying 'for all pairs of subsets' clauses: each
         unordered pair of generators once, b from a onward, at every size.
         That is exact on a meet of singleton companions: perp is antitone,
         turns unions into meets and makes dd monotone, and rem1.iv holds iff
         perp(0) is the carrier and the singleton relation is symmetric. It is
         symmetric in a and b, as lem4.i and lem4.ii are, and rem1.ii tests
-        only (0, b) and (a, a), so the first failure is the ordered scan's.
-        Beyond _PAIR_NOTE_BITS positions the note of the former sampled pool
-        stays, as frozen CLI stdout holds it."""
-        note = _PAIR_NOTE if self.m > _PAIR_NOTE_BITS else None
-        return combinations_with_replacement(generators(self.m), 2), note
+        only (0, b) and (a, a), so the first failure is the ordered scan's."""
+        return combinations_with_replacement(generators(self.m), 2)
 
     # -- witness helpers ---------------------------------------------------------
 
@@ -285,29 +287,22 @@ def generators(m):
     return (0, *(1 << p for p in range(m)))
 
 
-class _PerpCache(dict):
-    """Companions by mask, computed on first lookup as the AND of the
-    singleton companions of the members. Not galois.perp, which stops once
-    the meet is {zero}: that assumes zero is orthogonal to every vector, a
-    law this suite checks."""
-
-    def __init__(self, qm):
-        super().__init__()
-        self.qm = qm
-
-    def __missing__(self, mask):
-        value = self.qm.full_mask
-        for p in iter_bits(mask):
-            value &= principal_perp(self.qm, p)
-        self[mask] = value
-        return value
+def _meet(qm, mask):
+    """The companion of mask as the AND of the singleton companions of its
+    members. Not galois.perp, which stops once the meet is {zero}: that
+    assumes zero is orthogonal to every vector, a law this suite checks."""
+    value = qm.full_mask
+    for p in iter_bits(mask):
+        value &= principal_perp(qm, p)
+    return value
 
 
 # --------------------------------------------------------------------------
 # clause checks
 #
-# Each returns (status, witness, note). Clause ids are stable strings used in
-# reports and documented in the repository clause registry.
+# Each returns (status, witness, note), and _record makes the report. Clause
+# ids are stable strings used in reports and documented in the repository
+# clause registry.
 
 def _c_axioms(ctx):
     report = verify_axioms(ctx.qm)
@@ -318,51 +313,45 @@ def _c_axioms(ctx):
 
 
 def _c_rem1_i(ctx):
-    pool, note = ctx.subset_pool
-    for a in pool:
+    for a in ctx.subset_pool:
         if a & ~ctx.dd_of(a):
-            return FAIL, ctx.doc(subset=ctx.labels(a)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(subset=ctx.labels(a)), None
+    return PASS, None, None
 
 
 def _c_rem1_ii(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
+    for a, b in ctx.pair_pool():
         if a & ~b == 0 and ctx.perp[b] & ~ctx.perp[a]:
-            return FAIL, ctx.doc(smaller=ctx.labels(a), larger=ctx.labels(b)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(smaller=ctx.labels(a), larger=ctx.labels(b)), None
+    return PASS, None, None
 
 
 def _c_rem1_iii(ctx):
-    _, note = ctx.subset_pool
     for c, a in ctx.companions.items():
         if ctx.dd_of(c) != c:
-            return FAIL, ctx.doc(subset=ctx.labels(a)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(subset=ctx.labels(a)), None
+    return PASS, None, None
 
 
 def _c_rem1_iv(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
+    for a, b in ctx.pair_pool():
         if (a & ~ctx.perp[b] == 0) != (b & ~ctx.perp[a] == 0):
-            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), None
+    return PASS, None, None
 
 
 def _c_lem4_i(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
+    for a, b in ctx.pair_pool():
         if ctx.perp[a] & ctx.perp[b] != ctx.perp[a | b]:
-            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), None
+    return PASS, None, None
 
 
 def _c_lem4_ii(ctx):
-    pairs, note = ctx.pair_pool()
-    for a, b in pairs:
+    for a, b in ctx.pair_pool():
         if ctx.dd_of(a & b) & ~(ctx.dd_of(a) & ctx.dd_of(b)):
-            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), None
+    return PASS, None, None
 
 
 def _c_lem4_iii(ctx):
@@ -375,16 +364,15 @@ def _c_lem4_iv(ctx):
     # Any vector orthogonal to itself is zero, so the intersection of a set
     # with its companion lies inside {zero}; it equals {zero} exactly when
     # the set contains the zero vector. Tested in that refined form.
-    pool, note = ctx.subset_pool
-    for a in pool:
+    for a in ctx.subset_pool:
         if a == 0:
             continue
         inter = a & ctx.perp[a]
         if inter & ~ctx.zmask:
-            return FAIL, ctx.doc(subset=ctx.labels(a)), note
+            return FAIL, ctx.doc(subset=ctx.labels(a)), None
         if a & ctx.zmask and inter != ctx.zmask:
-            return FAIL, ctx.doc(subset=ctx.labels(a)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(subset=ctx.labels(a)), None
+    return PASS, None, None
 
 
 def _c_lem4_v(ctx):
@@ -405,19 +393,18 @@ def _c_separation(ctx):
 
 
 def _c_prop2(ctx):
-    pool, note = ctx.subset_pool
     defect = ctx.zd_defect
-    for a in pool:
-        ok, witness = ctx.subqm_of(ctx.perp[a])
+    for a in ctx.subset_pool:
+        ok, witness = ctx.subqm[ctx.perp[a]]
         if not ok:
             violation = violation_labels(ctx.qm, witness)
             if defect is None:
-                return FAIL, ctx.doc(subset=ctx.labels(a), violation=violation), note
+                return FAIL, ctx.doc(subset=ctx.labels(a), violation=violation), None
             return HYP, ctx.doc(subset=ctx.labels(a), companion=ctx.labels(ctx.perp[a]),
                                 violation=violation), str(defect)
     if defect is not None:
         return HYP, None, f"{defect}; no companion-closure violation in the pool"
-    return PASS, None, note
+    return PASS, None, None
 
 
 def _hyp_guard(fn):
@@ -432,15 +419,14 @@ def _hyp_guard(fn):
 @_hyp_guard
 def _c_th2_i(ctx):
     index = ctx.closed.index
-    pool, note = ctx.subset_pool
     # That every closed node is a companion needs no check: the nodes are the
     # intersection closure of singleton companions (on a product, cor1 checks
     # that they are the closed sets), and perp a meet of them.
-    for a in pool:
+    for a in ctx.subset_pool:
         pa = ctx.perp[a]
         if pa not in index:
-            return FAIL, ctx.doc(subset=ctx.labels(a), companion=ctx.labels(pa)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(subset=ctx.labels(a), companion=ctx.labels(pa)), None
+    return PASS, None, None
 
 
 @_hyp_guard
@@ -449,14 +435,13 @@ def _c_th2_ii(ctx):
     # a lies in dd(a), dd fixes every companion, the closed nodes included,
     # and dd is monotone.
     index = ctx.closed.index
-    pool, note = ctx.subset_pool
-    for a in pool:
+    for a in ctx.subset_pool:
         if a & ~ctx.dd_of(a):
-            return FAIL, ctx.doc(subset=ctx.labels(a)), note
+            return FAIL, ctx.doc(subset=ctx.labels(a)), None
     for c, a in ctx.companions.items():
         if ctx.perp[c] not in index:
-            return FAIL, ctx.doc(subset=ctx.labels(a)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(subset=ctx.labels(a)), None
+    return PASS, None, None
 
 
 @_hyp_guard
@@ -508,13 +493,15 @@ def _c_th2_v(ctx):
 @_hyp_guard
 def _c_th2_vi(ctx):
     pool = {ctx.zmask, ctx.full, *generators(ctx.m)}
-    if ctx.subs is not None:
+    try:
         pool.update(ctx.subs.nodes)
+    except EnumerationBudgetExceeded:
+        pass  # the pool without the nodes
     rng = random.Random(ctx.b.seed + 4)
     pool.update(rng.getrandbits(ctx.m) for _ in range(ctx.b.sampled_closures))
     note = f"sampled over {len(pool)} subsets"
     for a in sorted(pool):
-        if ctx.perp[a] != ctx.perp[ctx.close_of(a)]:
+        if ctx.perp[a] != ctx.perp[ctx.close[a]]:
             return FAIL, ctx.doc(subset=ctx.labels(a)), note
     return PASS, None, note
 
@@ -528,22 +515,20 @@ def _c_th2_vii(ctx):
         for r in range(len(cset) + 1):
             for bsub in combinations(cset, r):
                 bmask = mask_of(bsub)
-                left = ctx.close_of(cmask & ~bmask)
-                if left & ~ctx.perp[ctx.close_of(bmask)]:
+                left = ctx.close[cmask & ~bmask]
+                if left & ~ctx.perp[ctx.close[bmask]]:
                     return FAIL, ctx.doc(orthogonal=ctx.labels(cmask),
                                          removed=ctx.labels(bmask)), note
     return PASS, None, note
 
 
 def _c_lem6_i(ctx):
-    subs = ctx.subs
-    if subs is None:
-        return BUDGET, None, ctx._subs_note
+    nodes = ctx.subs.nodes
     qm = ctx.qm
     # a (factor, projection) pair seen before has passed, so each distinct
     # pair is tested once and the first failing node stays the same
     seen = set()
-    for mask in subs.nodes:
+    for mask in nodes:
         for i in range(len(qm.factors)):
             em = qm.project(mask, i)
             if (i, em) in seen:
@@ -558,7 +543,7 @@ def _c_lem6_i(ctx):
 
 def _c_lem6_ii(ctx):
     return _product_iff(ctx, lambda fqm, fmask: is_subquasimodule(fqm, fmask)[0],
-                        lambda mask: ctx.subqm_of(mask)[0])
+                        lambda mask: ctx.subqm[mask][0])
 
 
 def _c_lem1(ctx):
@@ -569,14 +554,13 @@ def _c_lem1(ctx):
     # ascending pool, the first failure is also the same.
     qm = ctx.qm
     fqms = [qm.factor_qm(i) for i in range(len(qm.factors))]
-    _, note = ctx.subset_pool
     for a in generators(ctx.m):
         expect = product_mask(qm, [
             fqm.project(perp(fqm, product_mask(fqm, [qm.project(a, i)])), 0)
             for i, fqm in enumerate(fqms)])
         if ctx.perp[a] != expect:
-            return FAIL, ctx.doc(subset=ctx.labels(a)), note
-    return PASS, None, note
+            return FAIL, ctx.doc(subset=ctx.labels(a)), None
+    return PASS, None, None
 
 
 @_hyp_guard
@@ -608,10 +592,7 @@ def _c_cor1(ctx):
 
 
 def _c_splitting_subset_closed(ctx):
-    masks = ctx.splitting_masks
-    if masks is None:
-        return BUDGET, None, ctx._subs_note
-    for mask in masks:
+    for mask in ctx.splitting_masks:
         if ctx.dd_of(mask) != mask:
             return FAIL, ctx.doc(splitting=ctx.labels(mask)), None
     return PASS, None, None
@@ -619,13 +600,10 @@ def _c_splitting_subset_closed(ctx):
 
 @_hyp_guard
 def _c_splitting_perp(ctx):
-    masks = ctx.splitting_masks
-    if masks is None:
-        return BUDGET, None, ctx._subs_note
     qm = ctx.qm
-    for mask in masks:
+    for mask in ctx.splitting_masks:
         companion = ctx.perp[mask]
-        ok, _ = ctx.subqm_of(companion)
+        ok, _ = ctx.subqm[companion]
         if not ok or not is_splitting(qm, SubQM(qm, companion)):
             return FAIL, ctx.doc(splitting=ctx.labels(mask),
                                  companion=ctx.labels(companion)), None
@@ -638,17 +616,22 @@ def _c_splitting_product(ctx):
         return ok and is_splitting(fqm, SubQM(fqm, fmask))
 
     def product_side(mask):
-        ok, _ = ctx.subqm_of(mask)
+        ok, _ = ctx.subqm[mask]
         return ok and is_splitting(ctx.qm, SubQM(ctx.qm, mask))
 
     return _product_iff(ctx, factor_side, product_side)
 
 
 def _product_iff(ctx, factor_side, product_side):
-    """Check: product passes iff every factor component passes."""
+    """Check: product passes iff every factor component passes. A factor's
+    verdict depends on its index and element mask alone, so each member of
+    each factor pool is decided once."""
     qm = ctx.qm
-    fqms = [qm.factor_qm(i) for i in range(len(qm.factors))]
     pools = ctx.factor_subqm_pools
+    passing = []
+    for i, pool in enumerate(pools):
+        fqm = qm.factor_qm(i)
+        passing.append({em for em in pool if factor_side(fqm, product_mask(fqm, [em]))})
     total = 1
     for p in pools:
         total *= len(p)
@@ -662,8 +645,7 @@ def _product_iff(ctx, factor_side, product_side):
     for choice in choices:
         mask = product_mask(qm, choice)
         left = product_side(mask)
-        right = all(factor_side(fqm, product_mask(fqm, [em]))
-                    for fqm, em in zip(fqms, choice))
+        right = all(em in ok for ok, em in zip(passing, choice))
         if left != right:
             labels = [list(qm.lattice.labels(em)) for em in choice]
             return FAIL, ctx.doc(factor_choice=labels, product=left, factors_pass=right), note
@@ -746,6 +728,24 @@ def _context(qm, budgets, instance, ctx):
     return ctx
 
 
+def _record(ctx, clause, fn):
+    """The report of one clause, which fn(ctx) decides as (status, witness,
+    note): the one place a TheoremReport is made. It times fn, turns
+    EnumerationBudgetExceeded into `budget-exceeded` with the enumeration's
+    message, and gives a pass or fail without a note the frozen note of
+    _FROZEN_NOTES[clause] beyond that entry's carrier size."""
+    start = perf_counter()
+    try:
+        status, witness, note = fn(ctx)
+    except EnumerationBudgetExceeded as exc:
+        status, witness, note = BUDGET, None, str(exc)
+    frozen = _FROZEN_NOTES.get(clause)
+    if frozen and note is None and status in (PASS, FAIL) and ctx.m > frozen[0]:
+        note = frozen[1]
+    return TheoremReport(clause, status, ctx.instance, witness, note,
+                         perf_counter() - start)
+
+
 def check_all(qm, budgets=None, instance=None, ctx=None):
     """Run every registered law clause against one canonical quasimodule.
 
@@ -753,17 +753,7 @@ def check_all(qm, budgets=None, instance=None, ctx=None):
     reused and keeps what the clauses computed, for check_homomorphism.
     """
     ctx = _context(qm, budgets, instance, ctx)
-    instance = ctx.instance
-    reports = []
-    for clause, fn in _CLAUSES:
-        start = perf_counter()
-        try:
-            status, witness, note = fn(ctx)
-        except EnumerationBudgetExceeded as exc:
-            status, witness, note = BUDGET, None, str(exc)
-        reports.append(TheoremReport(clause, status, instance, witness, note,
-                                     perf_counter() - start))
-    return reports
+    return [_record(ctx, clause, fn) for clause, fn in _CLAUSES]
 
 
 def check_homomorphism(qm, budgets=None, instance=None, ctx=None):
@@ -775,23 +765,16 @@ def check_homomorphism(qm, budgets=None, instance=None, ctx=None):
     pairs; when it fails, the report carries the witness pair and claims
     nothing further. The conclusion is tested on all node pairs, on the
     bounds and on seeded families of joins. `ctx` is as for check_all; the
-    one check_all used brings its subquasimodule lattice, or budget note.
+    one check_all used brings its subquasimodule lattice, or budget message.
     """
     ctx = _context(qm, budgets, instance, ctx)
-    instance = ctx.instance
-    start = perf_counter()
     if ctx.zd_defect is not None:
         raise ctx.zd_defect
-    subs = ctx.subs
-    if subs is None:
-        return TheoremReport("homomorphism", BUDGET, instance, None,
-                             ctx._subs_note, perf_counter() - start)
-    nodes = subs.nodes
+    return _record(ctx, "homomorphism", _homomorphism)
 
-    def finish(status, witness, note):
-        return TheoremReport("homomorphism", status, instance, witness, note,
-                             perf_counter() - start)
 
+def _homomorphism(ctx):
+    nodes = ctx.subs.nodes
     # The nodes are closed under intersection, so the pair hypothesis over
     # all node pairs gives it for every family by induction on its size:
     # dd(a & b & c) = dd(a & b) & dd(c) = dd(a) & dd(b) & dd(c). Neither the
@@ -799,8 +782,8 @@ def check_homomorphism(qm, budgets=None, instance=None, ctx=None):
     for a in nodes:
         for b in nodes:
             if ctx.dd_of(a & b) != ctx.dd_of(a) & ctx.dd_of(b):
-                return finish(HYP, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)),
-                              "intersection hypothesis fails; homomorphism not claimed")
+                return (HYP, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)),
+                        "intersection hypothesis fails; homomorphism not claimed")
 
     note = (f"hypothesis holds over {len(nodes)}^2 pairs and "
             f"{_FAMILY_SAMPLES} seeded families")
@@ -808,16 +791,16 @@ def check_homomorphism(qm, budgets=None, instance=None, ctx=None):
     # needs no check.
     for a in nodes:
         for b in nodes:
-            join = ctx.close_of(a | b)
+            join = ctx.close[a | b]
             if ctx.dd_of(join) != ctx.dd_of(ctx.dd_of(a) | ctx.dd_of(b)):
-                return finish(FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note)
-    if ctx.dd_of(ctx.zmask) != ctx.zmask or ctx.dd_of(qm.full_mask) != qm.full_mask:
-        return finish(FAIL, ctx.doc(), note)
+                return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
+    if ctx.dd_of(ctx.zmask) != ctx.zmask or ctx.dd_of(ctx.full) != ctx.full:
+        return FAIL, ctx.doc(), note
     # The join law for families follows from its pair form only when dd is a
     # closure operator, which a broken companion map need not give.
     rng = random.Random(ctx.b.seed + 7)
     for fam in _families(rng, nodes, _FAMILY_SAMPLES):
         joined = ctx.dd_of(_union(ctx.dd_of(x) for x in fam))
-        if ctx.dd_of(ctx.close_of(_union(fam))) != joined:
-            return finish(FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note)
-    return finish(PASS, None, note)
+        if ctx.dd_of(ctx.close[_union(fam)]) != joined:
+            return FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note
+    return PASS, None, note

@@ -5,7 +5,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from quasimodules import builtin, canonical, principal_ideal
+from quasimodules import build_lattice, builtin, builtin_covers, canonical, principal_ideal
 from quasimodules.errors import FactorizationFailed, NotClosed
 from quasimodules.galois import (
     _require_zero_distributive,
@@ -32,10 +32,21 @@ def qm_from(lattice_name, factor_gens):
     return canonical(lattice, factors)
 
 
+def reversed_n5_qm():
+    """N5 x [0,c] over N5 built with its labels top first, so that the
+    element order is no linear extension of the lattice order and some
+    slab shifts of CanonicalQM.image go down (15 vectors)."""
+    lattice = build_lattice(("1", "c", "b", "a", "0"), builtin_covers("n5")[1])
+    return canonical(lattice, (principal_ideal(lattice, lattice.index("1")),
+                               principal_ideal(lattice, lattice.index("c"))))
+
+
 # For the slab-shift kernel tests: ex1; M3 x [0,a], which is not
-# 0-distributive; N5^4, the largest carrier (625 vectors)
+# 0-distributive; N5^4, the largest carrier (625 vectors); N5 x [0,c] with
+# N5's labels reversed
 KERNEL_INSTANCES = (qm_from("n5", ["*", "a"]), qm_from("m3", ["*", "a"]),
-                    qm_from("n5", ["*"] * 4))
+                    qm_from("n5", ["*"] * 4), reversed_n5_qm())
+KERNEL_IDS = ("ex1", "m3-x-a", "n5-pow4", "reversed-n5-x-c")
 
 
 # ex1, M3 x [0,a] (not 0-distributive), chain_3^2, boolean_2 x [0,a], fig5,

@@ -277,9 +277,11 @@ def test_qm_verify_honours_budget(capsys):
     spec = os.path.join(ROOT, "perfbench", "specs", "ex1.qm")
     code, out = run(capsys, "qm", "verify", spec, "--budget", "5")
     assert code == 0
-    over = [l.split()[0] for l in out.splitlines() if "budget-exceeded" in l]
-    assert over == ["lem6.i", "splitting-subset-closed", "prop-splitting-perp",
-                    "homomorphism"]
+    over = [l for l in out.splitlines() if "budget-exceeded" in l]
+    assert [l.split()[0] for l in over] == ["lem6.i", "splitting-subset-closed",
+                                            "prop-splitting-perp", "homomorphism"]
+    # each carries the message of the one enumeration
+    assert all(l.endswith("[subquasimodule lattice exceeds 5 nodes]") for l in over)
 
 
 @pytest.mark.parametrize("budget", ["200000", "5"])

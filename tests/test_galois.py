@@ -53,6 +53,7 @@ from quasimodules.verify.search import _exhaustive_lattices, _factor_variants
 
 import golden
 from conftest import (
+    KERNEL_IDS,
     KERNEL_INSTANCES,
     SPECS,
     SUBSET_INSTANCES,
@@ -473,7 +474,7 @@ def test_sum_set_matches_pairwise():
     assert paths == {"fold", "loop"}
 
 
-@pytest.mark.parametrize("qm", KERNEL_INSTANCES, ids=("ex1", "m3-x-a", "n5-pow4"))
+@pytest.mark.parametrize("qm", KERNEL_INSTANCES, ids=KERNEL_IDS)
 def test_principal_perp_matches_componentwise(qm):
     meet, b = qm.lattice.meet, qm.lattice.bottom
     for p, u in enumerate(qm.carrier):
@@ -590,8 +591,7 @@ def test_order_embedding_catches_broken_assignments(ex1_qm):
 
 ZERO_DISTRIBUTIVE = [(spec, read_qm_file(os.path.join(SPECS, spec)))
                      for spec in sorted(os.listdir(SPECS))]
-ZERO_DISTRIBUTIVE += [(name, qm) for name, qm in zip(("ex1", "m3-x-a", "n5-pow4"),
-                                                     KERNEL_INSTANCES)
+ZERO_DISTRIBUTIVE += [(name, qm) for name, qm in zip(KERNEL_IDS, KERNEL_INSTANCES)
                       if galois.zero_distributivity_defect(qm) is None]
 
 

@@ -122,3 +122,44 @@ def test_no_module_imports_a_name_it_never_uses():
                 if unused:
                     found[os.path.relpath(path, package)] = unused
     assert found == {}
+
+
+def calls_outside(source, names, owner):
+    """(function, name) of each call to one of `names` made outside the
+    module-level function `owner`; None stands for module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = function
+            if function is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and inner != owner:
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.append((inner, name))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_calls_outside_are_found():
+    source = ("from time import perf_counter\nimport time\nt = perf_counter()\n"
+              "def make():\n    return Report(time.perf_counter())\n"
+              "def fine():\n    def inner():\n        return Report()\n    return inner\n")
+    assert calls_outside(source, {"Report", "perf_counter"}, "fine") == [
+        (None, "perf_counter"), ("make", "Report"), ("make", "perf_counter")]
+
+
+@pytest.mark.parametrize("module, names, owner", [
+    ("laws", {"TheoremReport"}, "_record"),
+    ("instances", {"TheoremReport", "perf_counter"}, "reproduce_reference"),
+])
+def test_reports_are_made_and_timed_in_one_function(module, names, owner):
+    # clause bodies and golden checks only decide; one function per module
+    # makes and times the reports
+    path = os.path.join(SRC, "quasimodules", "verify", f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        assert calls_outside(fh.read(), names, owner) == []

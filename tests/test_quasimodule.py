@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,12 @@ def test_parse_qm_errors():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         parse_qm("lattice: builtin:n5\nfactor: principal zz\n")
+    # a bare form names the form it expects
+    for form, message in (("principal", "expected 'factor: principal LABEL'"),
+                          ("set", "expected 'factor: set LABEL...'")):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_qm(f"lattice: builtin:n5\nfactor: {form}\n")
+        assert err.value.line == 2
 
 
 def test_untabulated_operations_on_large_carrier():

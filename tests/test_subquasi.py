@@ -143,6 +143,9 @@ def test_is_generating_and_is_basis(ex1_qm):
     assert is_generating(full, full.members)
     two = [qm.vector("0", "a"), qm.vector("b", "0")]
     assert not is_generating(full, two)
+    # a set that does not generate, and a basis plus a redundant vector
+    assert not is_basis(full, two)
+    assert not is_basis(full, [qm.vector("0", "a"), qm.vector("1", "0"), qm.vector("a", "0")])
     with pytest.raises(ValueError):
         is_generating(SubQM(qm, 1 << qm.zero), [qm.vector("a", "0")])
 

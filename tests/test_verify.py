@@ -24,8 +24,14 @@ from quasimodules import (
 )
 from quasimodules import galois
 from quasimodules.bitset import bit_key, iter_bits, mask_of
-from quasimodules.errors import Error, NotClosed, NotZeroDistributive, UnknownInstance
-from quasimodules.verify import FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConfig
+from quasimodules.errors import (
+    EnumerationBudgetExceeded,
+    Error,
+    NotClosed,
+    NotZeroDistributive,
+    UnknownInstance,
+)
+from quasimodules.verify import BUDGET, FAIL, HYP, PASS, Budgets, CLAUSE_IDS, SearchConfig
 from quasimodules.verify import laws, search
 from quasimodules.verify.instances import is_boolean_shape
 
@@ -124,12 +130,15 @@ def test_check_homomorphism_holds_somewhere():
 
 def test_reproduce_reference_statuses():
     # every golden check passes except the two pinned to the published
-    # (incomplete) subquasimodule list of ex1
+    # (incomplete) subquasimodule list of ex1; a report keeps its detail only
+    # on a failure
     expected_fail = {"ex1.subquasimodule-count", "ex1.subquasimodule-sets"}
     for name in ("ex2", "m3", "ex1", "fig5", "n5-power"):
         for report in reproduce_reference(name):
             want = FAIL if report.clause in expected_fail else PASS
             assert report.status == want, (report.clause, report.status)
+            assert (report.instance, report.note) == (name, None)
+            assert (report.witness is None) == (want == PASS), report.clause
 
 
 def test_reproduce_ex1_diff_names_the_missing_set():
@@ -275,11 +284,9 @@ def all_pairs(m):
 
 
 def generator_pairs(m):
-    """The pairs the pair clauses scan at every size; up to 10 positions
-    `_Ctx.pair_pool` reads nothing of the context but m."""
-    pairs, note = laws._Ctx.pair_pool(SimpleNamespace(m=m))
-    assert note is None
-    return list(pairs)
+    """The pairs the pair clauses scan at every size; `_Ctx.pair_pool` reads
+    nothing of the context but m."""
+    return list(laws._Ctx.pair_pool(SimpleNamespace(m=m)))
 
 
 def scan_rem1_ii(tab, pairs):
@@ -300,6 +307,38 @@ def scan_lem4_ii(tab, pairs):
 
 PAIR_CLAUSES = ("rem1.ii", "rem1.iv", "lem4.i", "lem4.ii")
 SCANS = dict(zip(PAIR_CLAUSES, (scan_rem1_ii, scan_rem1_iv, scan_lem4_i, scan_lem4_ii)))
+
+# The notes a pass or fail of the subset clauses and lem1 keeps beyond 16
+# vectors, and of the pair clauses beyond 10, though none samples: frozen CLI
+# stdout holds them.
+SUBSET_NOTE = "sampled: subquasimodules, singletons and 1000 seeded subsets"
+PAIR_NOTE = "pairs sampled: subquasimodule pairs plus 1500 seeded pairs"
+SUBSET_NOTE_CLAUSES = ("rem1.i", "rem1.iii", "lem4.iv", "prop2", "th2.i", "th2.ii", "lem1")
+FROZEN_NOTES = {**dict.fromkeys(SUBSET_NOTE_CLAUSES, (16, SUBSET_NOTE)),
+                **dict.fromkeys(PAIR_CLAUSES, (10, PAIR_NOTE))}
+
+
+@pytest.mark.parametrize("spec", ["ex1.qm", "chain4.sq.qm", "n5.sq.qm", None],
+                         ids=["ex1", "chain4.sq", "n5.sq", "m3-sq"])
+def test_frozen_notes_stamp_only_passes_and_fails_beyond_their_size(spec):
+    # ex1, chain4.sq and n5.sq (10, 16 and 25 vectors) and M3^2 (25 vectors,
+    # not 0-distributive), each at the default node budget and at 5 nodes
+    qm = read_qm_file(os.path.join(SPECS, spec)) if spec else qm_from("m3", ["*", "*"])
+    seen = set()
+    for budgets in (Budgets(), Budgets(max_nodes=5)):
+        ctx = laws._Ctx(qm, budgets)
+        records = check_all(qm, ctx=ctx)
+        if ctx.zd_defect is None:
+            records.append(check_homomorphism(qm, ctx=ctx))
+        for r in records:
+            frozen = FROZEN_NOTES.get(r.clause)
+            if frozen and r.status in (PASS, FAIL):
+                assert r.note == (frozen[1] if qm.size > frozen[0] else None), r.clause
+            else:
+                assert r.note not in (SUBSET_NOTE, PAIR_NOTE), r.clause
+            seen.add((r.status, r.clause in FROZEN_NOTES))
+    assert (BUDGET, False) in seen
+    assert ((HYP, True) in seen) == (spec is None)
 
 
 @st.composite
@@ -349,8 +388,7 @@ def _records(qm, monkeypatch, scans):
     quantify over all 4^m pairs instead of the generator pairs."""
     with monkeypatch.context() as patch:
         if scans:
-            patch.setattr(laws._Ctx, "pair_pool",
-                          lambda ctx: (all_pairs(ctx.m), None))
+            patch.setattr(laws._Ctx, "pair_pool", lambda ctx: all_pairs(ctx.m))
         records = [r.to_record() for r in check_all(qm, instance="x")]
     for r in records:
         r.pop("seconds")
@@ -438,7 +476,7 @@ def old_subset_pool(ctx):
 class SampledSubsetCtx(laws._Ctx):
     """A context whose subset clauses walk the former subset pool."""
 
-    subset_pool = cached_property(old_subset_pool)
+    subset_pool = cached_property(lambda ctx: old_subset_pool(ctx)[0])
 
 
 # -- lem1 on the empty set and the singletons ---------------------------------
@@ -495,10 +533,10 @@ def test_lem1_on_generators_keeps_subset_walk_records(name):
         ctx = laws._Ctx(qm, Budgets(), name)
         if poison == "empty":
             ctx.perp[0] ^= 1 << qm.zero
-        got = laws._c_lem1(ctx)
-        assert got == old_lem1(ctx), poison
-        assert got[0] == (PASS if poison is None else FAIL), poison
-        assert (got[2] is None) == (size <= 16)
+        got = laws._record(ctx, "lem1", laws._c_lem1)
+        assert (got.status, got.witness, got.note) == old_lem1(ctx), poison
+        assert got.status == (PASS if poison is None else FAIL), poison
+        assert (got.note is None) == (size <= 16)
 
 
 # the former Budgets.family_samples, the family count of the oracles below
@@ -546,7 +584,7 @@ def test_companion_table_matches_perp(lattice, gens):
     # every mask up to 16 vectors against the meet table, sampled beyond
     qm = qm_from(lattice, gens)
     cache = laws._Ctx(qm, Budgets(), "x").perp
-    assert isinstance(cache, laws._PerpCache)
+    assert isinstance(cache, laws._Memo)
     if qm.size <= 16:
         masks, want = range(1 << qm.size), meet_table(qm)
     else:
@@ -604,7 +642,7 @@ def old_prop2(ctx):
     if ctx.zd_defect is not None:
         hyp_note = str(ctx.zd_defect)
         for a in pool:
-            ok, witness = ctx.subqm_of(ctx.perp[a])
+            ok, witness = ctx.subqm[ctx.perp[a]]
             if not ok:
                 return HYP, ctx.doc(
                     subset=ctx.labels(a),
@@ -612,7 +650,7 @@ def old_prop2(ctx):
                     violation=laws.violation_labels(ctx.qm, witness)), hyp_note
         return HYP, None, hyp_note + "; no companion-closure violation in the pool"
     for a in pool:
-        ok, witness = ctx.subqm_of(ctx.perp[a])
+        ok, witness = ctx.subqm[ctx.perp[a]]
         if not ok:
             return FAIL, ctx.doc(subset=ctx.labels(a),
                                  violation=laws.violation_labels(ctx.qm, witness)), note
@@ -907,13 +945,10 @@ def test_pair_pool_is_the_generator_pairs(name):
     # singletons, each once with b from a onward, in product order, at every
     # size; beyond 10 vectors the former note stays
     ctx = laws._Ctx(qm_from(*PAIR_POOL_INSTANCES[name]), Budgets(), name)
-    pairs, note = ctx.pair_pool()
     gens = [0] + [1 << p for p in range(ctx.m)]
-    assert list(pairs) == [(a, b) for i, a in enumerate(gens) for b in gens[i:]]
-    if ctx.m <= 10:
-        assert note is None
-    else:
-        assert note == "pairs sampled: subquasimodule pairs plus 1500 seeded pairs"
+    assert list(ctx.pair_pool()) == [(a, b) for i, a in enumerate(gens) for b in gens[i:]]
+    notes = {laws._record(ctx, clause, body).note for clause, body in PAIR_BODIES.items()}
+    assert notes == {None if ctx.m <= 10 else PAIR_NOTE}
 
 
 def _all_records(qm, name):
@@ -926,18 +961,30 @@ def _all_records(qm, name):
 
 @pytest.mark.parametrize("name", list(PAIR_POOL_INSTANCES))
 def test_sampled_pair_pool_keeps_records(name, monkeypatch):
+    # the former pool's note is the pair clauses' note
     qm = qm_from(*PAIR_POOL_INSTANCES[name])
     new = _all_records(qm, name)
-    monkeypatch.setattr(laws._Ctx, "pair_pool", old_pair_pool)
+    notes = set()
+
+    def old_pairs(ctx):
+        pairs, note = old_pair_pool(ctx)
+        notes.add(note)
+        return pairs
+
+    monkeypatch.setattr(laws._Ctx, "pair_pool", old_pairs)
     assert new == _all_records(qm, name)
+    assert {r["note"] for r in new if r["clause"] in PAIR_CLAUSES} == notes
 
 
 @pytest.mark.parametrize("name", ["n5sq", "fig5sq"])
 def test_sampled_subset_pool_keeps_records(name, monkeypatch):
+    # the former pool's note is the subset clauses' and lem1's note
     qm = qm_from(*PAIR_POOL_INSTANCES[name])
     new = _all_records(qm, name)
     monkeypatch.setattr(laws._Ctx, "subset_pool", SampledSubsetCtx.subset_pool)
     assert new == _all_records(qm, name)
+    _, note = old_subset_pool(laws._Ctx(qm, Budgets(), name))
+    assert {r["note"] for r in new if r["clause"] in SUBSET_NOTE_CLAUSES} == {note}
 
 
 def test_subset_clauses_leave_the_subquasimodules_unenumerated():
@@ -974,7 +1021,7 @@ class SampledPairCtx(laws._Ctx):
         return old_pair_pool(self)
 
     def pair_pool(self):
-        return self.old_pairs
+        return self.old_pairs[0]
 
 
 def test_generators_keep_sampled_subset_statuses():
@@ -1042,7 +1089,7 @@ def test_generator_pairs_keep_sampled_pair_failures(name):
         assert bool(fails) == (poison != (zero, zero)), poison
         # the pool holds every generator pair on which a pair clause fails,
         # as (a, b) or, for the clauses symmetric in a and b, as (b, a)
-        pool = set(new.pair_pool()[0])
+        pool = set(new.pair_pool())
         assert all((a, b) in pool or (clause != "rem1.ii" and (b, a) in pool)
                    for a in generators for b in generators
                    for clause, scan in SCANS.items() if not scan(tab, [(a, b)])), poison
@@ -1059,10 +1106,10 @@ def old_check_homomorphism(qm, budgets=None, instance=None):
     ctx = laws._Ctx(qm, budgets, instance)
     if ctx.zd_defect is not None:
         raise ctx.zd_defect
-    subs = ctx.subs
-    if subs is None:
-        return laws.TheoremReport("homomorphism", laws.BUDGET, instance, None, ctx._subs_note)
-    nodes = subs.nodes
+    try:
+        nodes = ctx.subs.nodes
+    except EnumerationBudgetExceeded as exc:
+        return laws.TheoremReport("homomorphism", laws.BUDGET, instance, None, str(exc))
 
     def finish(status, witness, note):
         return laws.TheoremReport("homomorphism", status, instance, witness, note)
@@ -1085,14 +1132,14 @@ def old_check_homomorphism(qm, budgets=None, instance=None):
         if ctx.dd_of(pa) != ctx.perp[ctx.dd_of(a)]:
             return finish(FAIL, ctx.doc(node=ctx.labels(a)), note)
         for b in nodes:
-            join = ctx.close_of(a | b)
+            join = ctx.close[a | b]
             if ctx.dd_of(join) != ctx.dd_of(ctx.dd_of(a) | ctx.dd_of(b)):
                 return finish(FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note)
     if ctx.dd_of(ctx.zmask) != ctx.zmask or ctx.dd_of(qm.full_mask) != qm.full_mask:
         return finish(FAIL, ctx.doc(), note)
     for fam in laws._families(rng, nodes, FAMILY_SAMPLES):
         joined = ctx.dd_of(laws._union(ctx.dd_of(x) for x in fam))
-        if ctx.dd_of(ctx.close_of(laws._union(fam))) != joined:
+        if ctx.dd_of(ctx.close[laws._union(fam)]) != joined:
             return finish(FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note)
         if ctx.dd_of(_intersect(fam)) != _intersect(ctx.dd_of(x) for x in fam):
             return finish(FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note)
