@@ -159,7 +159,7 @@ def _set_str(strs, mask):
 
 
 def _cmd_qm(args):
-    from .galois import closed_subquasimodules, is_splitting, perp
+    from .galois import closed_subquasimodules, perp, splitting_subquasimodules
     from .subquasi import SubQM, all_subquasimodules, find_bases
 
     _echo_config(args, ["action", "file", "max-basis-size", "budget", "format"])
@@ -205,7 +205,7 @@ def _cmd_qm(args):
         return 0
 
     if action == "splitting":
-        masks = [m for m in subs.nodes if is_splitting(qm, SubQM(qm, m))]
+        masks = [s.members for s in splitting_subquasimodules(qm)]
         names = [subs.name_of_mask(m) for m in masks]
         _print_family(qm, names, masks, args.format)
         return 0

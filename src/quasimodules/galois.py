@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .bitset import iter_bits
+from .bitset import iter_bits, sort_masks
 from .errors import (
     CompanionNotClosed,
     CompanionOverlap,
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .lattice import FrozenRecord, is_0_distributive, set_field
 from .quasimodule import CanonicalQM
-from .subquasi import SubQM, SubQMLattice, all_subquasimodules, is_subquasimodule
+from .subquasi import SubQM, SubQMLattice, is_subquasimodule
 
 
 def principal_perp(qm, p):
@@ -423,13 +423,20 @@ def is_splitting(qm, sub):
     return sum_set(qm, sub.members, companion) == qm.full_mask
 
 
-def splitting_subquasimodules(qm, max_nodes=200_000):
-    """All splitting subquasimodules; always a subset of the closed ones."""
-    subs = all_subquasimodules(qm, max_nodes=max_nodes)
+def splitting_subquasimodules(qm):
+    """All splitting subquasimodules, in node order, read off the closed sets.
+
+    Every splitting P is closed: for x in P**, x = p + q with p in P and q in
+    P*, so q <= x and x is orthogonal to q, hence q is orthogonal to itself
+    and is zero, and x = p. That needs no 0-distributivity, so the closed
+    sets that are subquasimodules and split are all of them, and no
+    subquasimodule lattice is enumerated. Each is checked closed all the
+    same: a copy with seeded companions can break the argument.
+    """
     out = []
-    for mask in subs.nodes:
+    for mask in sort_masks(closed_sets(qm), qm.size):
         sub = SubQM(qm, mask)
-        if is_splitting(qm, sub):
+        if is_subquasimodule(qm, mask)[0] and is_splitting(qm, sub):
             if not is_closed(qm, mask):
                 raise SplittingNotClosed(f"splitting subquasimodule {sub} is not closed")
             out.append(sub)

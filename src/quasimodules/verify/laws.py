@@ -13,9 +13,10 @@ decide; `_record` makes every record. It times the body, turns
 `EnumerationBudgetExceeded` into `budget-exceeded` with the enumeration's
 message, and stamps the notes of `_FROZEN_NOTES`: beyond two carrier sizes
 those notes still say "sampled" where a clause is exact, as frozen CLI stdout
-holds them. `check_homomorphism` scans the subquasimodule node pairs, and
-draws seeded families only for the join law, which its pair form does not
-decide.
+holds them. Product clauses walk every combination of fixed factor pools.
+`check_homomorphism` scans the subquasimodule node pairs; the join law for
+families follows from its pair form once rem1.iii holds, and is not claimed
+where it fails.
 """
 
 from __future__ import annotations
@@ -56,12 +57,8 @@ _FROZEN_NOTES = {
                     _SUBSET_NOTE),
     **dict.fromkeys(("rem1.ii", "rem1.iv", "lem4.i", "lem4.ii"), _PAIR_NOTE),
 }
-# Family and orthogonal-set sizes, seeded families of check_homomorphism,
-# product-combo cap.
-_MAX_FAMILY = 4
-_FAMILY_SAMPLES = 300
+# The largest orthogonal set that th2.vii walks.
 _MAX_ORTHOGONAL_SIZE = 3
-_PRODUCT_COMBO_CAP = 4096
 
 
 class TheoremReport(Record):
@@ -88,9 +85,9 @@ class TheoremReport(Record):
 
 
 class Budgets(FrozenRecord):
-    """The subquasimodule node budget, the seed of the law suites and the
-    number of seeded subsets that `th2.vi` samples. Seeded runs are
-    reproducible."""
+    """The subquasimodule node budget, and the number of seeded subsets that
+    `th2.vi` samples and their seed, the law suite's one seeded draw. Seeded
+    runs are reproducible."""
 
     __slots__ = ("sampled_closures", "max_nodes", "seed")
 
@@ -165,23 +162,30 @@ class _Ctx:
 
     @cached_property
     def factor_subqm_pools(self):
-        """Per factor: element subsets to quantify product clauses over.
-
-        All subquasimodules of the factor, plus a few seeded arbitrary
-        subsets drawn per factor so the 'only if' directions get exercised.
-        A factor subquasimodule is an ideal, the down-set of its join
-        (subquasi._holds_on_factors), so they are {down[q] : q in the factor}.
+        """Per factor: the element subsets that product clauses quantify
+        over, ascending. A factor subquasimodule is an ideal, the down-set of
+        its join (subquasi._holds_on_factors), so they are {down[q] : q in the
+        factor}. One non-ideal of each kind the factor has exercises the
+        'only if' directions: the factor without bottom; {bottom, q} for the
+        first q with an element strictly between, not down-closed; down[q]
+        without the first join-reducible q, down-closed but not join-closed.
         """
-        rng = random.Random(self.b.seed + 1)
-        down = self.qm.lattice.down
+        lattice = self.qm.lattice
+        down, bottom = lattice.down, lattice.bottom
         pools = []
         for factor in self.qm.factors:
             fbits = list(iter_bits(factor.members))
             pool = {down[q] for q in fbits}
-            for _ in range(8):
-                sample = mask_of(e for e in fbits if rng.random() < 0.5)
-                if sample:
-                    pool.add(sample)
+            pool.add(factor.members & ~(1 << bottom))
+            for q in fbits:
+                if down[q].bit_count() > 2:
+                    pool.add(1 << bottom | 1 << q)
+                    break
+            for q in fbits:
+                if q != bottom and lattice.join_of(down[q] & ~(1 << q)) == q:
+                    pool.add(down[q] & ~(1 << q))
+                    break
+            pool.discard(0)  # the factor {bottom} without bottom
             pools.append(sorted(pool))
         return pools
 
@@ -623,40 +627,23 @@ def _c_splitting_product(ctx):
 
 
 def _product_iff(ctx, factor_side, product_side):
-    """Check: product passes iff every factor component passes. A factor's
-    verdict depends on its index and element mask alone, so each member of
-    each factor pool is decided once."""
+    """Check: product passes iff every factor component passes, on every
+    combination of the factor pools. A factor's verdict depends on its index
+    and element mask alone, so each member of each factor pool is decided
+    once."""
     qm = ctx.qm
     pools = ctx.factor_subqm_pools
     passing = []
     for i, pool in enumerate(pools):
         fqm = qm.factor_qm(i)
         passing.append({em for em in pool if factor_side(fqm, product_mask(fqm, [em]))})
-    total = 1
-    for p in pools:
-        total *= len(p)
-    note = None
-    choices = iproduct(*pools)
-    if total > _PRODUCT_COMBO_CAP:
-        rng = random.Random(ctx.b.seed + 5)
-        choices = [tuple(rng.choice(p) for p in pools)
-                   for _ in range(_PRODUCT_COMBO_CAP)]
-        note = f"sampled {_PRODUCT_COMBO_CAP} of {total} factor combinations"
-    for choice in choices:
-        mask = product_mask(qm, choice)
-        left = product_side(mask)
+    for choice in iproduct(*pools):
+        left = product_side(product_mask(qm, choice))
         right = all(em in ok for ok, em in zip(passing, choice))
         if left != right:
             labels = [list(qm.lattice.labels(em)) for em in choice]
-            return FAIL, ctx.doc(factor_choice=labels, product=left, factors_pass=right), note
-    return PASS, None, note
-
-
-def _families(rng, pool, count):
-    """`count` families of 3.._MAX_FAMILY members drawn from pool by rng."""
-    for _ in range(count):
-        size = rng.randint(3, _MAX_FAMILY)
-        yield tuple(rng.choice(pool) for _ in range(size))
+            return FAIL, ctx.doc(factor_choice=labels, product=left, factors_pass=right), None
+    return PASS, None, None
 
 
 def _orthogonal_sets(ctx, max_size):
@@ -763,9 +750,11 @@ def check_homomorphism(qm, budgets=None, instance=None, ctx=None):
     families, it is a complete homomorphism from the subquasimodule lattice
     onto the closed one. The intersection hypothesis is tested over all node
     pairs; when it fails, the report carries the witness pair and claims
-    nothing further. The conclusion is tested on all node pairs, on the
-    bounds and on seeded families of joins. `ctx` is as for check_all; the
-    one check_all used brings its subquasimodule lattice, or budget message.
+    nothing further. The conclusion is tested on all node pairs and on the
+    bounds; it holds for every family of joins once A*** = A* (rem1.iii),
+    and where that fails the report is hypothesis-not-met. `ctx` is as for
+    check_all; the one check_all used brings its subquasimodule lattice, or
+    budget message.
     """
     ctx = _context(qm, budgets, instance, ctx)
     if ctx.zd_defect is not None:
@@ -785,8 +774,7 @@ def _homomorphism(ctx):
                 return (HYP, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)),
                         "intersection hypothesis fails; homomorphism not claimed")
 
-    note = (f"hypothesis holds over {len(nodes)}^2 pairs and "
-            f"{_FAMILY_SAMPLES} seeded families")
+    note = f"hypothesis holds over {len(nodes)}^2 pairs"
     # dd(perp a) and perp(dd a) are both perp^3(a), so the complement law
     # needs no check.
     for a in nodes:
@@ -796,11 +784,14 @@ def _homomorphism(ctx):
                 return FAIL, ctx.doc(first=ctx.labels(a), second=ctx.labels(b)), note
     if ctx.dd_of(ctx.zmask) != ctx.zmask or ctx.dd_of(ctx.full) != ctx.full:
         return FAIL, ctx.doc(), note
-    # The join law for families follows from its pair form only when dd is a
-    # closure operator, which a broken companion map need not give.
-    rng = random.Random(ctx.b.seed + 7)
-    for fam in _families(rng, nodes, _FAMILY_SAMPLES):
-        joined = ctx.dd_of(_union(ctx.dd_of(x) for x in fam))
-        if ctx.dd_of(ctx.close[_union(fam)]) != joined:
-            return FAIL, ctx.doc(family=[ctx.labels(x) for x in fam]), note
+    # The join law for a family x1..xk follows from its pair form by
+    # induction once perp^3 = perp (rem1.iii). n = close(x1 | ... | x(k-1))
+    # is a node, so the pair law gives dd(close(n | xk)) = dd(dd n | dd xk),
+    # and dd(dd U | V) = perp(perp^3 U & perp V) = dd(U | V) with
+    # U = dd x1 | ... | dd x(k-1), the induction hypothesis for dd n.
+    # A broken companion map need not give perp^3 = perp.
+    for c, a in ctx.companions.items():
+        if ctx.dd_of(c) != c:
+            return (HYP, ctx.doc(subset=ctx.labels(a)),
+                    f"{note}; A*** = A* fails, so the family join law is not claimed")
     return PASS, None, note

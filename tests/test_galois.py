@@ -241,6 +241,38 @@ def test_splitting_excluded_for_fig5(fig5_qm):
     assert all(is_closed(fig5_qm, m) for m in splits)
 
 
+def old_splitting_subquasimodules(qm):
+    """The former splitting_subquasimodules, kept as the oracle: every node
+    of the enumerated subquasimodule lattice that splits."""
+    subs = all_subquasimodules(qm)
+    return [m for m in subs.nodes if is_splitting(qm, SubQM(qm, m))]
+
+
+def test_splitting_family_matches_enumerate_and_filter():
+    # the specs within the node budget, then every lattice up to 6 elements
+    # with each factor tuple the search tries, 0-distributive or not
+    cases = []
+    for spec in sorted(os.listdir(SPECS)):
+        if spec not in ("bool3.cube.qm", "n5.pow4.qm"):
+            cases.append((spec, read_qm_file(os.path.join(SPECS, spec))))
+    cfg = SearchConfig(max_lattice_size=6)
+    cases += [(f"{lat.up} {factors}", canonical(lat, factors)) for n in range(1, 7)
+              for lat in _exhaustive_lattices(n) for factors in _factor_variants(lat, cfg)]
+    assert len(cases) == 7 + 334
+    for label, qm in cases:
+        got = [s.members for s in splitting_subquasimodules(qm)]
+        assert got == old_splitting_subquasimodules(qm), label
+
+
+@pytest.mark.parametrize("spec, count", [("bool3.cube.qm", 8 ** 3), ("n5.pow4.qm", 4 ** 4)])
+def test_splitting_family_past_the_node_budget(spec, count):
+    # both have more subquasimodules than the default node budget; th3 and
+    # prop-splitting-product predict the products of the factors' splitting
+    # counts, 8 on bool3 and 4 on N5
+    qm = read_qm_file(os.path.join(SPECS, spec))
+    assert len(splitting_subquasimodules(qm)) == count
+
+
 def test_factorize_closed(ex1_qm, n5):
     qm = ex1_qm
     p12 = SubQM(qm, vecmask(qm, golden.PUBLISHED_EX1_SUBS[11]))

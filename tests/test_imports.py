@@ -163,3 +163,10 @@ def test_reports_are_made_and_timed_in_one_function(module, names, owner):
     path = os.path.join(SRC, "quasimodules", "verify", f"{module}.py")
     with open(path, encoding="utf-8") as fh:
         assert calls_outside(fh.read(), names, owner) == []
+
+
+def test_the_law_suite_draws_only_for_th2_vi():
+    # the other clauses are decided exactly, with no seeded sample
+    path = os.path.join(SRC, "quasimodules", "verify", "laws.py")
+    with open(path, encoding="utf-8") as fh:
+        assert calls_outside(fh.read(), {"Random"}, "_c_th2_vi") == []
